@@ -458,27 +458,6 @@ impl FaultPlan {
             .min()
     }
 
-    /// Whether a matching revival supersedes a kill of `from -> dir` taken
-    /// at `kill_at`, as observed at `now`: true iff some `ReviveAt` covers
-    /// the link with `kill_at <= at <= now` (the inclusive lower bound is
-    /// the revive-wins-ties rule). Draws no randomness, so kill-only plans
-    /// are byte-identical with or without this check.
-    fn revived_since(
-        &self,
-        mesh: &Mesh,
-        from: NodeId,
-        dir: Direction,
-        kill_at: Cycle,
-        now: Cycle,
-    ) -> bool {
-        self.link_faults.iter().any(|f| match f.kind {
-            LinkFaultKind::ReviveAt { at } => {
-                kill_at <= at && at <= now && f.selector.matches(mesh, from, dir)
-            }
-            _ => false,
-        })
-    }
-
     /// The alive-state transition timeline of the directed link
     /// `from -> dir`: `(cycle, alive)` entries in increasing cycle order,
     /// starting from the implicit alive state at cycle 0 (which is *not* an
@@ -498,35 +477,15 @@ impl FaultPlan {
                 _ => None,
             })
             .collect();
-        if events.is_empty() {
-            return events;
-        }
-        // Within one cycle a revival wins; sorting kills first makes the
-        // last state seen at each cycle the winning one.
-        events.sort_unstable_by_key(|&(at, alive)| (at, alive));
         let mut timeline = Vec::new();
-        let mut i = 0;
-        let mut alive = true;
-        while i < events.len() {
-            let cycle = events[i].0;
-            let mut state = alive;
-            while i < events.len() && events[i].0 == cycle {
-                state = events[i].1;
-                i += 1;
-            }
-            if state != alive {
-                alive = state;
-                timeline.push((cycle, alive));
-            }
-        }
+        coalesce(&mut events, |cycle, alive| timeline.push((cycle, alive)));
         timeline
     }
 
     /// The half-open cycle intervals `[dead_from, alive_from)` during which
     /// the directed link `from -> dir` is dead (the last interval ends at
-    /// `Cycle::MAX` if the link never revives). The parallel engine's fault
-    /// plane consumes this — for deterministic plans an interval test is
-    /// exactly equivalent to [`FaultPlan::flit_fate`].
+    /// `Cycle::MAX` if the link never revives). For deterministic plans an
+    /// interval test is exactly the fault plane's flit and credit fate.
     pub fn dead_windows(&self, mesh: &Mesh, from: NodeId, dir: Direction) -> Vec<(Cycle, Cycle)> {
         let mut windows = Vec::new();
         let mut dead_from = None;
@@ -554,29 +513,7 @@ impl FaultPlan {
     /// unmasks and re-gossips; the downstream router clears its input mask
     /// and starts the credit re-sync handshake).
     pub fn event_schedule(&self, mesh: &Mesh) -> Vec<LinkEvent> {
-        let mut schedule = Vec::new();
-        if self.link_faults.is_empty() {
-            return schedule;
-        }
-        for node in mesh.nodes() {
-            for dir in Direction::ALL {
-                if mesh.neighbor(node, dir).is_none() {
-                    continue;
-                }
-                for (i, (at, alive)) in self.link_timeline(mesh, node, dir).into_iter().enumerate()
-                {
-                    schedule.push(LinkEvent {
-                        detect_at: at.saturating_add(self.detection_delay),
-                        node,
-                        dir,
-                        alive,
-                        epoch: (i + 1) as u32,
-                    });
-                }
-            }
-        }
-        schedule.sort_unstable_by_key(|e| (e.detect_at, e.node.index(), e.dir.index(), e.epoch));
-        schedule
+        FaultIndex::new(self, mesh).event_schedule(self.detection_delay)
     }
 
     /// The deterministic link-kill detection schedule: the dead-transition
@@ -698,74 +635,6 @@ impl FaultPlan {
             .iter()
             .any(|s| s.node == node && s.contains(now))
     }
-
-    /// Decides the fate of a flit arriving over the link `from -> dir` at
-    /// `now`, drawing from `rng` only when an armed fault matches (so an
-    /// empty or inactive plan leaves the stream untouched).
-    pub fn flit_fate(
-        &self,
-        mesh: &Mesh,
-        from: NodeId,
-        dir: Direction,
-        now: Cycle,
-        rng: &mut SimRng,
-    ) -> FlitFate {
-        let mut fate = FlitFate::Deliver;
-        for f in &self.link_faults {
-            if !f.selector.matches(mesh, from, dir) {
-                continue;
-            }
-            match f.kind {
-                LinkFaultKind::KillAt { at }
-                    if now >= at && !self.revived_since(mesh, from, dir, at, now) =>
-                {
-                    return FlitFate::Drop;
-                }
-                LinkFaultKind::TransientDrop { rate, window }
-                    if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
-                {
-                    return FlitFate::Drop;
-                }
-                LinkFaultKind::TransientCorrupt { rate, window }
-                    if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
-                {
-                    fate = FlitFate::Corrupt;
-                }
-                _ => {}
-            }
-        }
-        fate
-    }
-
-    /// Whether a credit arriving over `from -> dir` at `now` is lost.
-    pub fn credit_lost(
-        &self,
-        mesh: &Mesh,
-        from: NodeId,
-        dir: Direction,
-        now: Cycle,
-        rng: &mut SimRng,
-    ) -> bool {
-        for f in &self.link_faults {
-            if !f.selector.matches(mesh, from, dir) {
-                continue;
-            }
-            match f.kind {
-                LinkFaultKind::KillAt { at }
-                    if now >= at && !self.revived_since(mesh, from, dir, at, now) =>
-                {
-                    return true;
-                }
-                LinkFaultKind::CreditLoss { rate, window }
-                    if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
-                {
-                    return true;
-                }
-                _ => {}
-            }
-        }
-        false
-    }
 }
 
 /// One entry of the deterministic link-event detection schedule: the
@@ -796,6 +665,320 @@ pub enum FlitFate {
     Drop,
     /// Delivered with a damaged checksum.
     Corrupt,
+}
+
+/// Sorts one link's kill (`false`) and revival (`true`) events and emits
+/// the alive-state transitions they produce, in cycle order. Within one
+/// cycle a revival wins: sorting kills first makes the last state seen at
+/// each cycle the winning one.
+fn coalesce(events: &mut [(Cycle, bool)], mut emit: impl FnMut(Cycle, bool)) {
+    events.sort_unstable_by_key(|&(at, alive)| (at, alive));
+    let mut alive = true;
+    let mut i = 0;
+    while i < events.len() {
+        let cycle = events[i].0;
+        let mut state = alive;
+        while i < events.len() && events[i].0 == cycle {
+            state = events[i].1;
+            i += 1;
+        }
+        if state != alive {
+            alive = state;
+            emit(cycle, alive);
+        }
+    }
+}
+
+/// One link fault compiled for one directed link. Revivals are folded
+/// into the kills they end, so evaluation needs no second scan.
+#[derive(Debug, Clone, Copy)]
+enum LinkRule {
+    /// A kill in force on `[at, until)`: `until` is the first matching
+    /// revival at or after `at` (revive-wins-ties), `Cycle::MAX` if none.
+    Kill {
+        at: Cycle,
+        until: Cycle,
+    },
+    Drop {
+        rate: f64,
+        window: FaultWindow,
+    },
+    Corrupt {
+        rate: f64,
+        window: FaultWindow,
+    },
+    CreditLoss {
+        rate: f64,
+        window: FaultWindow,
+    },
+}
+
+/// A [`FaultPlan`] compiled per directed link: the one derived form every
+/// fault-plane consumer reads (DESIGN.md §6.1) — serial flit and credit
+/// delivery, the parallel engine's dead-link test, and the detection
+/// schedule.
+///
+/// Links are addressed by slot `node * 4 + direction`. Each slot holds its
+/// matching faults in plan order, so probabilistic faults draw from the
+/// fault RNG in exactly the order of a scan over the whole plan, and its
+/// coalesced alive-state transitions. Derived from the configuration
+/// alone: never snapshotted, unchanged by arena resets. An empty plan
+/// compiles to an index that owns no heap.
+#[derive(Debug, Default)]
+pub(crate) struct FaultIndex {
+    /// Slot `s` owns `rules[rule_off[s]..rule_off[s + 1]]`.
+    rule_off: Vec<u32>,
+    rules: Vec<LinkRule>,
+    /// Slot `s` owns `transitions[tl_off[s]..tl_off[s + 1]]`: ascending
+    /// cycles at which the link alternately dies and revives, starting
+    /// with a death (the link epoch is the 1-based position).
+    tl_off: Vec<u32>,
+    transitions: Vec<Cycle>,
+}
+
+impl FaultIndex {
+    /// Compiles `plan` for the links of `mesh`: O(faults + matches + links).
+    pub(crate) fn new(plan: &FaultPlan, mesh: &Mesh) -> FaultIndex {
+        if plan.link_faults.is_empty() {
+            return FaultIndex::default();
+        }
+        let slots = mesh.node_count() * 4;
+        // Counting sort of (slot, fault id) pairs by slot; filling in plan
+        // order keeps every slot's ids in plan order.
+        let mut id_off = vec![0u32; slots + 1];
+        for f in &plan.link_faults {
+            for_each_slot(&f.selector, mesh, |s| id_off[s + 1] += 1);
+        }
+        for s in 0..slots {
+            id_off[s + 1] += id_off[s];
+        }
+        let mut ids = vec![0u32; id_off[slots] as usize];
+        let mut cursor = id_off.clone();
+        for (id, f) in plan.link_faults.iter().enumerate() {
+            for_each_slot(&f.selector, mesh, |s| {
+                ids[cursor[s] as usize] = id as u32;
+                cursor[s] += 1;
+            });
+        }
+
+        let mut index = FaultIndex {
+            rule_off: Vec::with_capacity(slots + 1),
+            rules: Vec::new(),
+            tl_off: Vec::with_capacity(slots + 1),
+            transitions: Vec::new(),
+        };
+        index.rule_off.push(0);
+        index.tl_off.push(0);
+        let mut revives = Vec::new();
+        let mut events = Vec::new();
+        for s in 0..slots {
+            let faults = ids[id_off[s] as usize..id_off[s + 1] as usize]
+                .iter()
+                .map(|&id| &plan.link_faults[id as usize].kind);
+            revives.clear();
+            events.clear();
+            for kind in faults.clone() {
+                match *kind {
+                    LinkFaultKind::KillAt { at } => events.push((at, false)),
+                    LinkFaultKind::ReviveAt { at } => {
+                        events.push((at, true));
+                        revives.push(at);
+                    }
+                    _ => {}
+                }
+            }
+            revives.sort_unstable();
+            for kind in faults {
+                index.rules.push(match *kind {
+                    LinkFaultKind::KillAt { at } => LinkRule::Kill {
+                        at,
+                        until: revives
+                            .get(revives.partition_point(|&r| r < at))
+                            .copied()
+                            .unwrap_or(Cycle::MAX),
+                    },
+                    LinkFaultKind::TransientDrop { rate, window } => {
+                        LinkRule::Drop { rate, window }
+                    }
+                    LinkFaultKind::TransientCorrupt { rate, window } => {
+                        LinkRule::Corrupt { rate, window }
+                    }
+                    LinkFaultKind::CreditLoss { rate, window } => {
+                        LinkRule::CreditLoss { rate, window }
+                    }
+                    LinkFaultKind::ReviveAt { .. } => continue,
+                });
+            }
+            coalesce(&mut events, |cycle, _| index.transitions.push(cycle));
+            index.rule_off.push(index.rules.len() as u32);
+            index.tl_off.push(index.transitions.len() as u32);
+        }
+        index
+    }
+
+    #[inline]
+    fn slot(from: NodeId, dir: Direction) -> usize {
+        from.index() * 4 + dir.index()
+    }
+
+    #[inline]
+    fn rules(&self, from: NodeId, dir: Direction) -> &[LinkRule] {
+        let s = Self::slot(from, dir);
+        match self.rule_off.get(s..s + 2) {
+            Some(&[lo, hi]) => &self.rules[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    #[inline]
+    fn transitions(&self, from: NodeId, dir: Direction) -> &[Cycle] {
+        let s = Self::slot(from, dir);
+        match self.tl_off.get(s..s + 2) {
+            Some(&[lo, hi]) => &self.transitions[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Decides the fate of a flit arriving over the link `from -> dir` at
+    /// `now`: the link's faults in plan order, a transient drawing from
+    /// `rng` only while armed, the first drop (a kill in force or a drawn
+    /// drop) ending the scan.
+    pub(crate) fn flit_fate(
+        &self,
+        from: NodeId,
+        dir: Direction,
+        now: Cycle,
+        rng: &mut SimRng,
+    ) -> FlitFate {
+        let mut fate = FlitFate::Deliver;
+        for rule in self.rules(from, dir) {
+            match *rule {
+                LinkRule::Kill { at, until } if at <= now && now < until => {
+                    return FlitFate::Drop;
+                }
+                LinkRule::Drop { rate, window }
+                    if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
+                {
+                    return FlitFate::Drop;
+                }
+                LinkRule::Corrupt { rate, window }
+                    if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
+                {
+                    fate = FlitFate::Corrupt;
+                }
+                _ => {}
+            }
+        }
+        fate
+    }
+
+    /// Whether a credit arriving over `from -> dir` at `now` is lost (same
+    /// scan as [`FaultIndex::flit_fate`] over kills and credit loss).
+    pub(crate) fn credit_lost(
+        &self,
+        from: NodeId,
+        dir: Direction,
+        now: Cycle,
+        rng: &mut SimRng,
+    ) -> bool {
+        self.rules(from, dir).iter().any(|rule| match *rule {
+            LinkRule::Kill { at, until } => at <= now && now < until,
+            LinkRule::CreditLoss { rate, window } => {
+                window.contains(now) && rate > 0.0 && rng.gen_bool(rate)
+            }
+            _ => false,
+        })
+    }
+
+    /// Whether the link `from -> dir` is dead at `now` (a link revived at
+    /// `now` is alive): an odd number of transitions at or before `now`.
+    /// For deterministic plans this is the whole of the flit and credit
+    /// fate. Links carry 0–2 transitions in practice, so a linear count
+    /// beats a binary search.
+    #[inline]
+    pub(crate) fn link_dead(&self, from: NodeId, dir: Direction, now: Cycle) -> bool {
+        !self.transitions.is_empty()
+            && self
+                .transitions(from, dir)
+                .iter()
+                .take_while(|&&at| at <= now)
+                .count()
+                % 2
+                == 1
+    }
+
+    /// The detection schedule (see [`FaultPlan::event_schedule`]): one
+    /// event per transition, sorted by `(detect_cycle, node, dir, epoch)`.
+    pub(crate) fn event_schedule(&self, detection_delay: Cycle) -> Vec<LinkEvent> {
+        let mut schedule = Vec::with_capacity(self.transitions.len());
+        for s in 0..self.tl_off.len().saturating_sub(1) {
+            let (node, dir) = (NodeId::new(s / 4), Direction::ALL[s % 4]);
+            for (i, &at) in self.transitions(node, dir).iter().enumerate() {
+                schedule.push(LinkEvent {
+                    detect_at: at.saturating_add(detection_delay),
+                    node,
+                    dir,
+                    alive: i % 2 == 1,
+                    epoch: (i + 1) as u32,
+                });
+            }
+        }
+        schedule.sort_unstable_by_key(|e| (e.detect_at, e.node.index(), e.dir.index(), e.epoch));
+        schedule
+    }
+
+    /// Heap bytes owned by the index (zero for an empty plan).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.rule_off.capacity() + self.tl_off.capacity()) * size_of::<u32>()
+            + self.rules.capacity() * size_of::<LinkRule>()
+            + self.transitions.capacity() * size_of::<Cycle>()
+    }
+}
+
+/// Calls `f` with the slot of every directed link of `mesh` that `sel`
+/// covers — exactly the links [`LinkSelector::matches`] accepts, each
+/// once, found without scanning the mesh.
+fn for_each_slot(sel: &LinkSelector, mesh: &Mesh, mut f: impl FnMut(usize)) {
+    let n = mesh.node_count();
+    let out_links = |node: NodeId, f: &mut dyn FnMut(usize)| {
+        for dir in Direction::ALL {
+            if mesh.neighbor(node, dir).is_some() {
+                f(FaultIndex::slot(node, dir));
+            }
+        }
+    };
+    let rect = |x0: u16, y0: u16, x1: u16, y1: u16, f: &mut dyn FnMut(usize)| {
+        let (x1, y1) = (x1.min(mesh.width() - 1), y1.min(mesh.height() - 1));
+        for y in y0..=y1 {
+            for x in x0..=x1 {
+                if let Some(node) = mesh.node_at(crate::geom::Coord::new(x, y)) {
+                    out_links(node, f);
+                }
+            }
+        }
+    };
+    match *sel {
+        LinkSelector::All => rect(0, 0, mesh.width() - 1, mesh.height() - 1, &mut f),
+        LinkSelector::Link { from, dir } => {
+            if from.index() < n && mesh.neighbor(from, dir).is_some() {
+                f(FaultIndex::slot(from, dir));
+            }
+        }
+        LinkSelector::Node { node } => {
+            if node.index() < n {
+                for dir in Direction::ALL {
+                    if let Some(nb) = mesh.neighbor(node, dir) {
+                        f(FaultIndex::slot(node, dir));
+                        f(FaultIndex::slot(nb, dir.opposite()));
+                    }
+                }
+            }
+        }
+        LinkSelector::Row { y } => rect(0, y, mesh.width() - 1, y, &mut f),
+        LinkSelector::Column { x } => rect(x, 0, x, mesh.height() - 1, &mut f),
+        LinkSelector::Region { x0, y0, x1, y1 } => rect(x0, y0, x1, y1, &mut f),
+    }
 }
 
 /// One injected fault, as recorded in the network's fault log.
@@ -869,6 +1052,125 @@ mod tests {
         Mesh::new(3, 3).unwrap()
     }
 
+    fn index_fate(
+        plan: &FaultPlan,
+        mesh: &Mesh,
+        from: NodeId,
+        dir: Direction,
+        now: Cycle,
+        rng: &mut SimRng,
+    ) -> FlitFate {
+        FaultIndex::new(plan, mesh).flit_fate(from, dir, now, rng)
+    }
+
+    fn index_lost(
+        plan: &FaultPlan,
+        mesh: &Mesh,
+        from: NodeId,
+        dir: Direction,
+        now: Cycle,
+        rng: &mut SimRng,
+    ) -> bool {
+        FaultIndex::new(plan, mesh).credit_lost(from, dir, now, rng)
+    }
+
+    /// The historical per-arrival plan scans, kept as the oracle for
+    /// [`FaultIndex`]: every fault's selector tested in plan order, each
+    /// matching kill checked against a second scan for a superseding
+    /// revival.
+    mod oracle {
+        use super::*;
+
+        /// Whether a matching revival supersedes a kill of `from -> dir` taken
+        /// at `kill_at`, as observed at `now`: true iff some `ReviveAt` covers
+        /// the link with `kill_at <= at <= now` (the inclusive lower bound is
+        /// the revive-wins-ties rule). Draws no randomness, so kill-only plans
+        /// are byte-identical with or without this check.
+        pub(super) fn revived_since(
+            plan: &FaultPlan,
+            mesh: &Mesh,
+            from: NodeId,
+            dir: Direction,
+            kill_at: Cycle,
+            now: Cycle,
+        ) -> bool {
+            plan.link_faults.iter().any(|f| match f.kind {
+                LinkFaultKind::ReviveAt { at } => {
+                    kill_at <= at && at <= now && f.selector.matches(mesh, from, dir)
+                }
+                _ => false,
+            })
+        }
+
+        /// Decides the fate of a flit arriving over the link `from -> dir` at
+        /// `now`, drawing from `rng` only when an armed fault matches (so an
+        /// empty or inactive plan leaves the stream untouched).
+        pub(super) fn flit_fate(
+            plan: &FaultPlan,
+            mesh: &Mesh,
+            from: NodeId,
+            dir: Direction,
+            now: Cycle,
+            rng: &mut SimRng,
+        ) -> FlitFate {
+            let mut fate = FlitFate::Deliver;
+            for f in &plan.link_faults {
+                if !f.selector.matches(mesh, from, dir) {
+                    continue;
+                }
+                match f.kind {
+                    LinkFaultKind::KillAt { at }
+                        if now >= at && !revived_since(plan, mesh, from, dir, at, now) =>
+                    {
+                        return FlitFate::Drop;
+                    }
+                    LinkFaultKind::TransientDrop { rate, window }
+                        if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
+                    {
+                        return FlitFate::Drop;
+                    }
+                    LinkFaultKind::TransientCorrupt { rate, window }
+                        if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
+                    {
+                        fate = FlitFate::Corrupt;
+                    }
+                    _ => {}
+                }
+            }
+            fate
+        }
+
+        /// Whether a credit arriving over `from -> dir` at `now` is lost.
+        pub(super) fn credit_lost(
+            plan: &FaultPlan,
+            mesh: &Mesh,
+            from: NodeId,
+            dir: Direction,
+            now: Cycle,
+            rng: &mut SimRng,
+        ) -> bool {
+            for f in &plan.link_faults {
+                if !f.selector.matches(mesh, from, dir) {
+                    continue;
+                }
+                match f.kind {
+                    LinkFaultKind::KillAt { at }
+                        if now >= at && !revived_since(plan, mesh, from, dir, at, now) =>
+                    {
+                        return true;
+                    }
+                    LinkFaultKind::CreditLoss { rate, window }
+                        if window.contains(now) && rate > 0.0 && rng.gen_bool(rate) =>
+                    {
+                        return true;
+                    }
+                    _ => {}
+                }
+            }
+            false
+        }
+    }
+
     #[test]
     fn empty_plan_delivers_everything_without_touching_rng() {
         let plan = FaultPlan::none();
@@ -877,10 +1179,17 @@ mod tests {
         let before = rng.clone();
         for now in 0..100 {
             assert_eq!(
-                plan.flit_fate(&mesh, NodeId::new(0), Direction::East, now, &mut rng),
+                index_fate(&plan, &mesh, NodeId::new(0), Direction::East, now, &mut rng),
                 FlitFate::Deliver
             );
-            assert!(!plan.credit_lost(&mesh, NodeId::new(0), Direction::East, now, &mut rng));
+            assert!(!index_lost(
+                &plan,
+                &mesh,
+                NodeId::new(0),
+                Direction::East,
+                now,
+                &mut rng
+            ));
         }
         assert_eq!(rng, before, "no fault may consume randomness");
     }
@@ -891,19 +1200,33 @@ mod tests {
         let mesh = mesh3();
         let mut rng = SimRng::seed_from(2);
         assert_eq!(
-            plan.flit_fate(&mesh, NodeId::new(3), Direction::North, 49, &mut rng),
+            index_fate(&plan, &mesh, NodeId::new(3), Direction::North, 49, &mut rng),
             FlitFate::Deliver
         );
         assert_eq!(
-            plan.flit_fate(&mesh, NodeId::new(3), Direction::North, 50, &mut rng),
+            index_fate(&plan, &mesh, NodeId::new(3), Direction::North, 50, &mut rng),
             FlitFate::Drop
         );
         // Other links are untouched.
         assert_eq!(
-            plan.flit_fate(&mesh, NodeId::new(3), Direction::South, 1_000, &mut rng),
+            index_fate(
+                &plan,
+                &mesh,
+                NodeId::new(3),
+                Direction::South,
+                1_000,
+                &mut rng
+            ),
             FlitFate::Deliver
         );
-        assert!(plan.credit_lost(&mesh, NodeId::new(3), Direction::North, 60, &mut rng));
+        assert!(index_lost(
+            &plan,
+            &mesh,
+            NodeId::new(3),
+            Direction::North,
+            60,
+            &mut rng
+        ));
     }
 
     #[test]
@@ -913,7 +1236,7 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         let drops = (0..10_000)
             .filter(|&now| {
-                plan.flit_fate(&mesh, NodeId::new(0), Direction::East, now, &mut rng)
+                index_fate(&plan, &mesh, NodeId::new(0), Direction::East, now, &mut rng)
                     == FlitFate::Drop
             })
             .count();
@@ -936,15 +1259,15 @@ mod tests {
         let mesh = mesh3();
         let mut rng = SimRng::seed_from(4);
         assert_eq!(
-            plan.flit_fate(&mesh, NodeId::new(0), Direction::East, 9, &mut rng),
+            index_fate(&plan, &mesh, NodeId::new(0), Direction::East, 9, &mut rng),
             FlitFate::Deliver
         );
         assert_eq!(
-            plan.flit_fate(&mesh, NodeId::new(0), Direction::East, 10, &mut rng),
+            index_fate(&plan, &mesh, NodeId::new(0), Direction::East, 10, &mut rng),
             FlitFate::Drop
         );
         assert_eq!(
-            plan.flit_fate(&mesh, NodeId::new(0), Direction::East, 20, &mut rng),
+            index_fate(&plan, &mesh, NodeId::new(0), Direction::East, 20, &mut rng),
             FlitFate::Deliver
         );
     }
@@ -1082,7 +1405,16 @@ mod tests {
             .revive_link(NodeId::new(3), Direction::North, 200);
         let mesh = mesh3();
         let mut rng = SimRng::seed_from(3);
-        let mut fate = |now| plan.flit_fate(&mesh, NodeId::new(3), Direction::North, now, &mut rng);
+        let mut fate = |now| {
+            index_fate(
+                &plan,
+                &mesh,
+                NodeId::new(3),
+                Direction::North,
+                now,
+                &mut rng,
+            )
+        };
         assert_eq!(fate(49), FlitFate::Deliver);
         assert_eq!(fate(50), FlitFate::Drop);
         assert_eq!(fate(199), FlitFate::Drop);
@@ -1090,8 +1422,22 @@ mod tests {
         assert_eq!(fate(200), FlitFate::Deliver);
         assert_eq!(fate(10_000), FlitFate::Deliver);
         let mut rng = SimRng::seed_from(3);
-        assert!(plan.credit_lost(&mesh, NodeId::new(3), Direction::North, 199, &mut rng));
-        assert!(!plan.credit_lost(&mesh, NodeId::new(3), Direction::North, 200, &mut rng));
+        assert!(index_lost(
+            &plan,
+            &mesh,
+            NodeId::new(3),
+            Direction::North,
+            199,
+            &mut rng
+        ));
+        assert!(!index_lost(
+            &plan,
+            &mesh,
+            NodeId::new(3),
+            Direction::North,
+            200,
+            &mut rng
+        ));
         assert!(plan.is_deterministic(), "revivals stay parallel-eligible");
         assert!(plan.has_revivals());
         assert!(!FaultPlan::none()
@@ -1115,7 +1461,7 @@ mod tests {
             .is_empty());
         let mut rng = SimRng::seed_from(4);
         assert_eq!(
-            plan.flit_fate(&mesh, NodeId::new(1), Direction::East, 80, &mut rng),
+            index_fate(&plan, &mesh, NodeId::new(1), Direction::East, 80, &mut rng),
             FlitFate::Deliver
         );
     }
@@ -1232,5 +1578,129 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A random plan mixing every selector shape with kills, revivals,
+    /// transient drop/corruption and credit loss; cycles are drawn on a
+    /// coarse grid so same-cycle kill/revive ties are common.
+    fn random_plan(mesh: &Mesh, rng: &mut SimRng) -> FaultPlan {
+        let (w, h) = (mesh.width() as u64, mesh.height() as u64);
+        let cycle = |rng: &mut SimRng| rng.gen_range(20) * 10;
+        let mut plan = FaultPlan::none();
+        for _ in 0..1 + rng.gen_index(10) {
+            let (x0, x1) = {
+                let (a, b) = (rng.gen_range(w) as u16, rng.gen_range(w) as u16);
+                (a.min(b), a.max(b))
+            };
+            let (y0, y1) = {
+                let (a, b) = (rng.gen_range(h) as u16, rng.gen_range(h) as u16);
+                (a.min(b), a.max(b))
+            };
+            let node = NodeId::new(rng.gen_index(mesh.node_count()));
+            let selector = match rng.gen_range(6) {
+                0 => LinkSelector::All,
+                1 => LinkSelector::Link {
+                    from: node,
+                    dir: Direction::ALL[rng.gen_index(4)],
+                },
+                2 => LinkSelector::Node { node },
+                3 => LinkSelector::Row { y: y0 },
+                4 => LinkSelector::Column { x: x0 },
+                _ => LinkSelector::Region { x0, y0, x1, y1 },
+            };
+            let rate = [0.0, 0.3, 0.7, 1.0][rng.gen_index(4)];
+            let window = {
+                let (a, b) = (cycle(rng), cycle(rng));
+                FaultWindow {
+                    start: a.min(b),
+                    end: a.max(b),
+                }
+            };
+            let kind = match rng.gen_range(5) {
+                0 => LinkFaultKind::KillAt { at: cycle(rng) },
+                1 => LinkFaultKind::ReviveAt { at: cycle(rng) },
+                2 => LinkFaultKind::TransientDrop { rate, window },
+                3 => LinkFaultKind::TransientCorrupt { rate, window },
+                _ => LinkFaultKind::CreditLoss { rate, window },
+            };
+            plan.link_faults.push(LinkFault { selector, kind });
+        }
+        plan
+    }
+
+    /// The historical detection schedule: one full-plan timeline scan per
+    /// link.
+    fn oracle_event_schedule(plan: &FaultPlan, mesh: &Mesh) -> Vec<LinkEvent> {
+        let mut schedule = Vec::new();
+        for node in mesh.nodes() {
+            for dir in mesh.neighbor_dirs(node).collect::<Vec<_>>() {
+                for (i, (at, alive)) in plan.link_timeline(mesh, node, dir).into_iter().enumerate()
+                {
+                    schedule.push(LinkEvent {
+                        detect_at: at.saturating_add(plan.detection_delay),
+                        node,
+                        dir,
+                        alive,
+                        epoch: (i + 1) as u32,
+                    });
+                }
+            }
+        }
+        schedule.sort_unstable_by_key(|e| (e.detect_at, e.node.index(), e.dir.index(), e.epoch));
+        schedule
+    }
+
+    #[test]
+    fn fault_index_matches_the_plan_scan() {
+        let mut plans = SimRng::seed_from(0xFA17);
+        for (w, h) in [(1, 4), (3, 3), (4, 2)] {
+            let mesh = Mesh::new(w, h).unwrap();
+            for trial in 0..150 {
+                let plan = random_plan(&mesh, &mut plans);
+                let index = FaultIndex::new(&plan, &mesh);
+                assert_eq!(
+                    index.event_schedule(plan.detection_delay),
+                    oracle_event_schedule(&plan, &mesh),
+                    "{w}x{h} #{trial}: {plan:?}"
+                );
+                let mut fast = SimRng::seed_from(trial);
+                let mut slow = fast.clone();
+                for node in mesh.nodes() {
+                    for dir in mesh.neighbor_dirs(node).collect::<Vec<_>>() {
+                        let windows = plan.dead_windows(&mesh, node, dir);
+                        for now in (0..220).step_by(5) {
+                            let at = (w, h, trial, node, dir, now);
+                            assert_eq!(
+                                index.flit_fate(node, dir, now, &mut fast),
+                                oracle::flit_fate(&plan, &mesh, node, dir, now, &mut slow),
+                                "flit {at:?}"
+                            );
+                            assert_eq!(fast, slow, "rng after flit {at:?}");
+                            assert_eq!(
+                                index.credit_lost(node, dir, now, &mut fast),
+                                oracle::credit_lost(&plan, &mesh, node, dir, now, &mut slow),
+                                "credit {at:?}"
+                            );
+                            assert_eq!(fast, slow, "rng after credit {at:?}");
+                            assert_eq!(
+                                index.link_dead(node, dir, now),
+                                windows
+                                    .iter()
+                                    .any(|&(kill, revive)| kill <= now && now < revive),
+                                "dead {at:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_plan_index_owns_no_heap() {
+        let index = FaultIndex::new(&FaultPlan::none(), &mesh3());
+        assert_eq!(index.heap_bytes(), 0);
+        assert!(index.event_schedule(16).is_empty());
+        assert!(!index.link_dead(NodeId::new(0), Direction::East, 5));
     }
 }

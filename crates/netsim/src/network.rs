@@ -18,7 +18,7 @@ use crate::channel::Channel;
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
 use crate::error::SimError;
-use crate::faults::{FaultEvent, FaultEventKind, FlitFate, LinkEvent};
+use crate::faults::{FaultEvent, FaultEventKind, FaultIndex, FlitFate, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
 use crate::geom::{DirMap, Direction, NodeId, PortId};
 use crate::ni::{NodeInterface, UnreachablePacket};
@@ -221,7 +221,8 @@ pub struct MemoryFootprint {
     pub router_bytes: usize,
     /// Network interfaces: queues, reassembly, retransmit state.
     pub ni_bytes: usize,
-    /// Channels: pipeline rings plus fault hold-back queues.
+    /// Channels: pipeline rings, fault hold-back queues and the compiled
+    /// per-link fault index.
     pub channel_bytes: usize,
     /// Parallel engine: plan tables and per-shard deltas (0 when serial).
     pub engine_bytes: usize,
@@ -333,6 +334,10 @@ pub struct Network {
     pub(crate) held: Vec<VecDeque<Flit>>,
     /// Log of injected faults (capped at [`Network::FAULT_LOG_CAP`]).
     pub(crate) fault_log: Vec<FaultEvent>,
+    /// The fault plan compiled per directed link: the only form of the plan
+    /// the engines read per flit and credit. Derived from the configuration
+    /// — not snapshotted, kept by arena resets.
+    pub(crate) fault_index: FaultIndex,
     /// Deterministic fault-detection schedule derived from the fault plan's
     /// alive-state timeline (kills *and* revivals), in firing order with
     /// per-link epochs. Static per configuration — not snapshotted.
@@ -508,7 +513,8 @@ impl Network {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)
             .unwrap_or(config.sim_threads);
-        let detect_schedule = config.faults.event_schedule(&mesh);
+        let fault_index = FaultIndex::new(&config.faults, &mesh);
+        let detect_schedule = fault_index.event_schedule(config.faults.detection_delay);
         let modes_cache: Vec<RouterMode> = routers.iter().map(|r| r.mode()).collect();
         let mut mode_counts = [0u64; 3];
         for m in &modes_cache {
@@ -532,6 +538,7 @@ impl Network {
             now: 0,
             rng,
             fault_rng,
+            fault_index,
             stats: NetworkStats::new(),
             next_packet_id: 0,
             scratch: RouterOutputs::new(),
@@ -755,7 +762,8 @@ impl Network {
                 .iter()
                 .map(|h| h.capacity() * size_of::<Flit>())
                 .sum::<usize>()
-            + self.held.capacity() * size_of::<VecDeque<Flit>>();
+            + self.held.capacity() * size_of::<VecDeque<Flit>>()
+            + self.fault_index.heap_bytes();
         let engine_bytes = self.engines.iter().map(|e| e.heap_bytes()).sum();
         let other_bytes = self.stats.heap_bytes()
             + self.scratch.heap_bytes()
@@ -1194,13 +1202,9 @@ impl Network {
         }
         for &credit in delivery.credits() {
             if faults_active
-                && self.config.faults.credit_lost(
-                    &self.mesh,
-                    ends.from,
-                    ends.dir,
-                    now,
-                    &mut self.fault_rng,
-                )
+                && self
+                    .fault_index
+                    .credit_lost(ends.from, ends.dir, now, &mut self.fault_rng)
             {
                 self.stats.credits_lost += 1;
                 self.stats.faults_injected += 1;
@@ -1228,13 +1232,10 @@ impl Network {
         }
         if let Some(mut flit) = self.held[c].pop_front() {
             if faults_active {
-                match self.config.faults.flit_fate(
-                    &self.mesh,
-                    ends.from,
-                    ends.dir,
-                    now,
-                    &mut self.fault_rng,
-                ) {
+                match self
+                    .fault_index
+                    .flit_fate(ends.from, ends.dir, now, &mut self.fault_rng)
+                {
                     FlitFate::Drop => {
                         self.stats.flits_lost_to_faults += 1;
                         self.stats.faults_injected += 1;
@@ -1580,8 +1581,8 @@ impl Network {
         self.nack_queue.clear();
         self.ack_queue.clear();
         self.fault_log.clear();
-        // `detect_schedule` is a pure function of the (equal) configuration
-        // and stays; only the firing cursor rewinds.
+        // `fault_index` and `detect_schedule` are pure functions of the
+        // (equal) configuration and stay; only the firing cursor rewinds.
         self.detect_next = 0;
         self.unreachable_packets.clear();
         self.credits_pushed = 0;

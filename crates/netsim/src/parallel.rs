@@ -73,7 +73,7 @@
 
 use crate::channel::{Channel, Delivery};
 use crate::error::SimError;
-use crate::faults::{FaultEvent, FaultEventKind};
+use crate::faults::{FaultEvent, FaultEventKind, FaultIndex};
 use crate::flit::{Cycle, Flit};
 use crate::geom::{DirMap, Direction, NodeId, PortId};
 use crate::network::{ChannelEnds, Network};
@@ -125,12 +125,6 @@ struct PlanStatic {
     /// end (receives credits/control).
     events: Vec<(u32, bool)>,
     ev_off: Vec<u32>,
-    /// Flattened half-open dead windows `[kill, revive)` of channel `c`
-    /// (empty for a never-killed link; `Cycle::MAX` end when never
-    /// revived), ascending and disjoint. The fast path admits only
-    /// deterministic fault plans, whose entire effect this table captures.
-    dead_windows: Vec<(Cycle, Cycle)>,
-    dw_off: Vec<u32>,
     /// Prefix sums of per-node outgoing-channel counts: node `j` owns
     /// channels `[node_chan_start[j], node_chan_start[j+1])`.
     node_chan_start: Vec<usize>,
@@ -174,34 +168,14 @@ impl PlanStatic {
             ev_off[j + 1] = events.len() as u32;
         }
 
-        let mut dead_windows = Vec::new();
-        let mut dw_off = vec![0u32; chan_count + 1];
-        for (c, e) in net.ends.iter().enumerate() {
-            dead_windows.extend(net.config.faults.dead_windows(&net.mesh, e.from, e.dir));
-            dw_off[c + 1] = dead_windows.len() as u32;
-        }
-
         PlanStatic {
             events,
             ev_off,
-            dead_windows,
-            dw_off,
             node_chan_start,
             mesh: net.mesh.clone(),
             link_latency: net.config.link_latency,
             max_flit_age: net.config.max_flit_age,
         }
-    }
-
-    /// Whether channel `c` is inside a dead window at `now` — exactly the
-    /// serial engine's `flit_fate`/`credit_lost` aliveness (a link revived
-    /// at `now` is already alive). Channels have 0–2 windows in practice,
-    /// so a linear scan wins over binary search.
-    #[inline]
-    fn link_dead(&self, c: usize, now: Cycle) -> bool {
-        self.dead_windows[self.dw_off[c] as usize..self.dw_off[c + 1] as usize]
-            .iter()
-            .any(|&(kill, revive)| kill <= now && now < revive)
     }
 }
 
@@ -329,6 +303,9 @@ struct Job {
     now: Cycle,
     rng: SimRng,
     plan: *const Plan,
+    /// The network's compiled fault index; the fast path admits only
+    /// deterministic plans, whose whole effect is its dead-link test.
+    faults: *const FaultIndex,
     recovery: bool,
     routers: *mut Box<dyn Router>,
     nis: *mut NodeInterface,
@@ -618,8 +595,6 @@ impl Engine {
         let stat = &self.plan.stat;
         let plan = stat.events.capacity() * size_of::<(u32, bool)>()
             + stat.ev_off.capacity() * size_of::<u32>()
-            + stat.dead_windows.capacity() * size_of::<(Cycle, Cycle)>()
-            + stat.dw_off.capacity() * size_of::<u32>()
             + stat.node_chan_start.capacity() * size_of::<usize>()
             + self.plan.node_start.capacity() * size_of::<usize>()
             + self.plan.chan_start.capacity() * size_of::<usize>();
@@ -725,6 +700,7 @@ fn min_error(delta: &mut ShardDelta, phase: u8, index: u32, err: SimError) {
 /// `Job`; only shard `shard` may call it for that shard.
 unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta) {
     let stat = &*plan.stat;
+    let faults = &*job.faults;
     let now = job.now;
     let (lo, hi) = (plan.node_start[shard], plan.node_start[shard + 1]);
 
@@ -748,13 +724,13 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
             let pend = &*(job.pending.add(c) as *const Delivery);
             if is_fwd {
                 let Some(flit) = pend.flit else { continue };
-                if stat.link_dead(c, now) {
+                let ends = &*job.ends.add(c);
+                if faults.link_dead(ends.from, ends.dir, now) {
                     // Deterministic fault plane: the link is dead, the flit
                     // is eaten — exactly the serial engine's `flit_fate`,
                     // which runs before the age check (a killed flit can
                     // never be the serial run's first error).
                     if delta.error.is_none() {
-                        let ends = &*job.ends.add(c);
                         delta.stats.flits_lost_to_faults += 1;
                         delta.stats.faults_injected += 1;
                         delta.in_flight -= 1;
@@ -777,7 +753,7 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
                                 cycle: now,
                                 limit: stat.max_flit_age,
                                 age,
-                                node: (*job.ends.add(c)).to,
+                                node: ends.to,
                                 flit,
                             },
                         );
@@ -790,16 +766,15 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
                     // first — is reported; stop mutating router state.
                     continue;
                 }
-                let dir = (*job.ends.add(c)).dir;
                 set_bit(job.router_active, j);
-                router.receive_flit(PortId::Net(dir.opposite()), flit, now);
+                router.receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
             } else {
                 if delta.error.is_some() {
                     continue;
                 }
                 let ends = &*job.ends.add(c);
                 let dir = ends.dir;
-                if stat.link_dead(c, now) {
+                if faults.link_dead(ends.from, dir, now) {
                     // A dead link loses its credits too (serial
                     // `credit_lost`); control signals are sideband and
                     // still cross, keeping fault gossip alive.
@@ -1238,6 +1213,7 @@ fn step_cycle(
             now,
             rng: net.rng.clone(),
             plan: Arc::as_ptr(plan),
+            faults: &net.fault_index,
             recovery: net.config.retransmit.is_some(),
             routers: net.routers.as_mut_ptr(),
             nis: net.nis.as_mut_ptr(),
