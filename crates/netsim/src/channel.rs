@@ -1,11 +1,19 @@
-//! Pipelined inter-router channels.
+//! Pipelined inter-router channels as clock-indexed delivery slots.
 //!
 //! Each directed adjacency in the mesh is realized by a [`Channel`]: a
 //! forward lane carrying at most one flit per cycle downstream, and a reverse
-//! lane carrying credits and control signals upstream. Both lanes are modeled
-//! as fixed-capacity ring buffers so that multi-cycle link latency is
-//! cycle-exact while `advance()` is a handful of index operations — no
-//! per-cycle heap traffic (DESIGN.md §8's allocation discipline).
+//! lane carrying credits and control signals upstream. A link is a pure
+//! fixed delay and every link of a network shares one latency and one
+//! clock, so the ring slot a message lands in is a function of the cycle
+//! alone: a lane of delay `D` is a ring of `D + 1` slots, a push at cycle
+//! `t` writes slot `(t + D) mod (D + 1)`, and delivery at cycle `t` takes
+//! slot `t mod (D + 1)` ([`Slots`]). Nothing rotates per cycle and the
+//! rings keep no heads or counters; occupancy queries scan the slots, off
+//! the hot path. The one spare slot keeps the slot delivered in a cycle
+//! apart from the slot written in it, so the two ends of a link never touch
+//! the same slot within a cycle — which lets the parallel engine run
+//! delivery and router steps without a barrier between them (DESIGN.md
+//! §12). No per-cycle heap traffic (DESIGN.md §8).
 //!
 //! The forward lane has delay `L + 2`: one cycle of switch traversal at the
 //! sender, `L` cycles of wire, with the downstream buffer write overlapped
@@ -13,7 +21,7 @@
 //! delay `L` — credits and the one-bit credit-tracking control line are pure
 //! wires.
 
-use crate::flit::{Flit, VcId, VirtualNetwork};
+use crate::flit::{Cycle, Flit, VcId, VirtualNetwork};
 use crate::geom::{Direction, NodeId};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -82,21 +90,15 @@ pub enum ControlSignal {
 /// constant; 4 leaves slack. Overflow panics rather than spilling.
 pub const LANE_CAP: usize = 4;
 
-/// A fixed-capacity inline list: one reverse-lane ring slot.
+/// A fixed-capacity inline list: the credits or the control signals one
+/// reverse-lane slot carries. Dereferences to the occupied prefix.
 #[derive(Debug, Clone, Copy)]
-struct LaneSlot<T: Copy> {
+struct Slot<T: Copy> {
     len: u8,
     items: [T; LANE_CAP],
 }
 
-impl<T: Copy> LaneSlot<T> {
-    fn new(fill: T) -> LaneSlot<T> {
-        LaneSlot {
-            len: 0,
-            items: [fill; LANE_CAP],
-        }
-    }
-
+impl<T: Copy> Slot<T> {
     fn push(&mut self, item: T) {
         assert!(
             (self.len as usize) < LANE_CAP,
@@ -106,56 +108,160 @@ impl<T: Copy> LaneSlot<T> {
         self.len += 1;
     }
 
-    fn as_slice(&self) -> &[T] {
+    /// Writes the length byte and each item (`put`) for a snapshot.
+    fn save(&self, w: &mut SnapshotWriter, put: impl Fn(&mut SnapshotWriter, T)) {
+        w.put_u8(self.len);
+        for &item in self.iter() {
+            put(w, item);
+        }
+    }
+
+    /// Replaces the contents with a slot written by [`Slot::save`],
+    /// rejecting lengths above [`LANE_CAP`].
+    fn load(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        what: &'static str,
+        mut get: impl FnMut(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let n = r.get_u8(what)?;
+        if n as usize > LANE_CAP {
+            return Err(SnapshotError::Malformed { what });
+        }
+        self.len = 0;
+        for _ in 0..n {
+            self.push(get(r)?);
+        }
+        Ok(())
+    }
+}
+
+impl<T: Copy> std::ops::Deref for Slot<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
         &self.items[..self.len as usize]
     }
-
-    fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
-/// What a channel delivers at the start of a cycle.
-///
-/// Plain-old-data with inline storage (no heap): the engine copies it out
-/// of the staging slot and iterates [`credits`](Delivery::credits) /
-/// [`control`](Delivery::control) as slices.
+/// One reverse-lane ring slot: the credits and control signals sent
+/// upstream in one cycle, delivered credits first (the lane is one wire
+/// bundle, FIFO across both kinds).
 #[derive(Debug, Clone, Copy)]
-pub struct Delivery {
-    /// Flit arriving at the downstream router, if any.
-    pub flit: Option<Flit>,
-    credits: LaneSlot<Credit>,
-    control: LaneSlot<ControlSignal>,
+pub struct ReverseSlot {
+    credits: Slot<Credit>,
+    control: Slot<ControlSignal>,
 }
 
-impl Delivery {
+impl ReverseSlot {
+    // Fill values are never observed: `len` gates every read.
+    const EMPTY: ReverseSlot = ReverseSlot {
+        credits: Slot {
+            len: 0,
+            items: [Credit::Vc(VcId(0)); LANE_CAP],
+        },
+        control: Slot {
+            len: 0,
+            items: [ControlSignal::StartCreditTracking; LANE_CAP],
+        },
+    };
+
     /// Credits arriving back at the upstream router.
     pub fn credits(&self) -> &[Credit] {
-        self.credits.as_slice()
+        &self.credits
     }
 
     /// Control signals arriving back at the upstream router.
     pub fn control(&self) -> &[ControlSignal] {
-        self.control.as_slice()
+        &self.control
     }
 
-    /// True if nothing arrived.
-    pub fn is_empty(&self) -> bool {
-        self.flit.is_none() && self.credits.is_empty() && self.control.is_empty()
+    pub(crate) fn push_credit(&mut self, credit: Credit) {
+        self.credits.push(credit);
+    }
+
+    pub(crate) fn push_control(&mut self, signal: ControlSignal) {
+        self.control.push(signal);
+    }
+
+    /// Takes the slot's contents, leaving it empty (stale items past the
+    /// lengths are never read).
+    pub(crate) fn take(&mut self) -> ReverseSlot {
+        let out = *self;
+        self.credits.len = 0;
+        self.control.len = 0;
+        out
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.credits.len == 0 && self.control.len == 0
     }
 }
 
-impl Default for Delivery {
-    fn default() -> Delivery {
-        Delivery {
-            flit: None,
-            // Fill values are never observed: `len` gates every read.
-            credits: LaneSlot::new(Credit::Vc(VcId(0))),
-            control: LaneSlot::new(ControlSignal::StartCreditTracking),
+/// Places a flit into a forward-lane ring slot.
+///
+/// # Panics
+///
+/// Panics if the slot is already occupied — two flits crossed the same
+/// link in the same cycle, a router bug.
+pub(crate) fn put_flit(slot: &mut Option<Flit>, flit: Flit) {
+    if let Some(first) = slot {
+        panic!("link overdriven: two flits pushed in one cycle ({first} then {flit})");
+    }
+    *slot = Some(flit);
+}
+
+/// Ring depths `(forward, reverse)` of links of latency `link_latency`:
+/// one slot more than each lane's delay.
+pub(crate) fn ring_depths(link_latency: u64) -> (u64, u64) {
+    (
+        link_latency + Channel::ROUTER_OVERHEAD + 1,
+        link_latency + 1,
+    )
+}
+
+/// The ring slots of one cycle, shared by every channel of a network (all
+/// links share one latency): which slot each lane delivers (`*_take`) and
+/// which slot a push writes (`*_send`). Derived from the clock once
+/// ([`Slots::at`]) and then advanced per cycle ([`Slots::next`]), so the
+/// per-message work is plain indexing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slots {
+    pub(crate) fwd_take: usize,
+    pub(crate) fwd_send: usize,
+    pub(crate) rev_take: usize,
+    pub(crate) rev_send: usize,
+}
+
+impl Slots {
+    /// The slots of cycle `now` on links of latency `link_latency`.
+    pub fn at(now: Cycle, link_latency: u64) -> Slots {
+        let (fwd, rev) = ring_depths(link_latency);
+        // A push lands `depth - 1` cycles ahead: slot (now + depth - 1).
+        Slots {
+            fwd_take: (now % fwd) as usize,
+            fwd_send: ((now + fwd - 1) % fwd) as usize,
+            rev_take: (now % rev) as usize,
+            rev_send: ((now + rev - 1) % rev) as usize,
+        }
+    }
+
+    /// The slots of the following cycle — `Slots::at(now + 1, L)` without
+    /// a division: a cycle sends into the slot the previous cycle took.
+    pub fn next(self, link_latency: u64) -> Slots {
+        let wrap = |slot: usize, depth: u64| {
+            if slot as u64 + 1 == depth {
+                0
+            } else {
+                slot + 1
+            }
+        };
+        let (fwd, rev) = ring_depths(link_latency);
+        Slots {
+            fwd_take: wrap(self.fwd_take, fwd),
+            fwd_send: self.fwd_take,
+            rev_take: wrap(self.rev_take, rev),
+            rev_send: self.rev_take,
         }
     }
 }
@@ -173,10 +279,18 @@ fn write_credit(w: &mut SnapshotWriter, c: Credit) {
     }
 }
 
-fn read_credit(r: &mut SnapshotReader<'_>) -> Result<Credit, SnapshotError> {
+fn read_credit(r: &mut SnapshotReader<'_>, vnets: usize) -> Result<Credit, SnapshotError> {
     Ok(match r.get_u8("credit tag")? {
         0 => Credit::Vc(VcId(r.get_u8("credit vc")?)),
-        1 => Credit::Vnet(VirtualNetwork(r.get_u8("credit vnet")?)),
+        1 => {
+            let vn = r.get_u8("credit vnet")?;
+            if vn as usize >= vnets {
+                return Err(SnapshotError::Malformed {
+                    what: "credit vnet",
+                });
+            }
+            Credit::Vnet(VirtualNetwork(vn))
+        }
         _ => return Err(SnapshotError::Malformed { what: "credit tag" }),
     })
 }
@@ -244,182 +358,29 @@ fn read_control(r: &mut SnapshotReader<'_>) -> Result<ControlSignal, SnapshotErr
     })
 }
 
-fn read_credit_slot(r: &mut SnapshotReader<'_>) -> Result<LaneSlot<Credit>, SnapshotError> {
-    let n = r.get_u8("credit slot length")?;
-    if n as usize > LANE_CAP {
-        return Err(SnapshotError::Malformed {
-            what: "credit slot length",
-        });
-    }
-    let mut slot = LaneSlot::new(Credit::Vc(VcId(0)));
-    for _ in 0..n {
-        slot.push(read_credit(r)?);
-    }
-    Ok(slot)
-}
-
-fn read_control_slot(r: &mut SnapshotReader<'_>) -> Result<LaneSlot<ControlSignal>, SnapshotError> {
-    let n = r.get_u8("control slot length")?;
-    if n as usize > LANE_CAP {
-        return Err(SnapshotError::Malformed {
-            what: "control slot length",
-        });
-    }
-    let mut slot = LaneSlot::new(ControlSignal::StartCreditTracking);
-    for _ in 0..n {
-        slot.push(read_control(r)?);
-    }
-    Ok(slot)
-}
-
-impl Delivery {
-    /// Serializes a staged delivery for a snapshot.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        match &self.flit {
-            Some(f) => {
-                w.put_bool(true);
-                snapshot::write_flit(w, f);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u8(self.credits.len);
-        for c in self.credits.as_slice() {
-            write_credit(w, *c);
-        }
-        w.put_u8(self.control.len);
-        for s in self.control.as_slice() {
-            write_control(w, *s);
-        }
-    }
-
-    /// Restores a delivery written by [`Delivery::save`].
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<Delivery, SnapshotError> {
-        let flit = if r.get_bool("delivery flit presence")? {
-            Some(snapshot::read_flit(r)?)
-        } else {
-            None
-        };
-        Ok(Delivery {
-            flit,
-            credits: read_credit_slot(r)?,
-            control: read_control_slot(r)?,
-        })
-    }
-}
-
 /// A directed channel between two adjacent routers.
 ///
 /// # Examples
 ///
 /// ```
-/// use afc_netsim::channel::Channel;
+/// use afc_netsim::channel::{Channel, Slots};
 /// use afc_netsim::flit::{Flit, PacketId};
 /// use afc_netsim::geom::NodeId;
 ///
 /// let mut ch = Channel::new(2); // L = 2 => flit delay 4, credit delay 2
-/// ch.push_flit(Flit::test_flit(PacketId(0), NodeId::new(0), NodeId::new(1)));
-/// let mut arrived_after = 0;
-/// for cycle in 1..=10 {
-///     let d = ch.advance();
-///     if d.flit.is_some() {
-///         arrived_after = cycle;
-///         break;
-///     }
-/// }
-/// assert_eq!(arrived_after, 4);
+/// let flit = Flit::test_flit(PacketId(0), NodeId::new(0), NodeId::new(1));
+/// ch.push_flit(Slots::at(0, 2), flit);
+/// let arrived = (1..=10).find(|&t| ch.take_flit(Slots::at(t, 2)).is_some());
+/// assert_eq!(arrived, Some(4));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Channel {
-    /// Forward (flit) half. Written only by the upstream router's shard.
-    pub(crate) fwd: FwdLane,
-    /// Reverse (credit/control) half. Written only by the downstream
-    /// router's shard.
-    pub(crate) rev: RevLane,
-}
-
-/// The forward half of a channel: the flit ring.
-///
-/// Split out as its own struct so the parallel engine can hand mutable
-/// access to the forward and reverse halves of one channel to *different*
-/// shards within a cycle (the upstream router pushes flits, the downstream
-/// router pushes credits) without aliasing a `&mut Channel`.
-#[derive(Debug, Clone)]
-pub(crate) struct FwdLane {
-    /// Ring; `ring[head]` is the next slot delivered.
-    ring: Box<[Option<Flit>]>,
-    head: usize,
-    /// Occupied slots (O(1) occupancy queries).
-    count: usize,
-}
-
-/// The reverse half of a channel: credit + control rings (one wire bundle,
-/// shared head).
-#[derive(Debug, Clone)]
-pub(crate) struct RevLane {
-    credits: Box<[LaneSlot<Credit>]>,
-    control: Box<[LaneSlot<ControlSignal>]>,
-    head: usize,
-    credit_count: usize,
-    control_count: usize,
-}
-
-impl FwdLane {
-    /// Index of the ring slot written by this cycle's push (the "back").
-    fn tail(&self) -> usize {
-        (self.head + self.ring.len() - 1) % self.ring.len()
-    }
-
-    /// Sends a flit downstream. At most one flit may be pushed per cycle.
-    pub(crate) fn push_flit(&mut self, flit: Flit) {
-        let tail = self.tail();
-        let back = &mut self.ring[tail];
-        assert!(
-            back.is_none(),
-            "link overdriven: two flits pushed in one cycle ({} then {})",
-            back.unwrap(),
-            flit
-        );
-        *back = Some(flit);
-        self.count += 1;
-    }
-
-    fn pop(&mut self) -> Option<Flit> {
-        let flit = self.ring[self.head].take();
-        self.head = (self.head + 1) % self.ring.len();
-        self.count -= flit.is_some() as usize;
-        flit
-    }
-}
-
-impl RevLane {
-    fn tail(&self) -> usize {
-        (self.head + self.credits.len() - 1) % self.credits.len()
-    }
-
-    /// Sends a credit upstream.
-    pub(crate) fn push_credit(&mut self, credit: Credit) {
-        let tail = self.tail();
-        self.credits[tail].push(credit);
-        self.credit_count += 1;
-    }
-
-    /// Sends a control signal upstream.
-    pub(crate) fn push_control(&mut self, signal: ControlSignal) {
-        let tail = self.tail();
-        self.control[tail].push(signal);
-        self.control_count += 1;
-    }
-
-    fn pop(&mut self) -> (LaneSlot<Credit>, LaneSlot<ControlSignal>) {
-        let credits = self.credits[self.head];
-        self.credits[self.head].clear();
-        let control = self.control[self.head];
-        self.control[self.head].clear();
-        self.head = (self.head + 1) % self.credits.len();
-        self.credit_count -= credits.as_slice().len();
-        self.control_count -= control.as_slice().len();
-        (credits, control)
-    }
+    /// Forward (flit) ring, `forward_delay() + 1` slots. Written by the
+    /// upstream router, taken by the downstream one.
+    pub(crate) fwd: Box<[Option<Flit>]>,
+    /// Reverse (credit + control) ring, `reverse_delay() + 1` slots.
+    /// Written by the downstream router, taken by the upstream one.
+    pub(crate) rev: Box<[ReverseSlot]>,
 }
 
 impl Channel {
@@ -427,13 +388,12 @@ impl Channel {
     /// switch traversal plus the (overlapped) downstream buffer write.
     pub const ROUTER_OVERHEAD: u64 = 2;
 
-    /// Heap bytes owned by this channel's pipeline rings. The rings are
-    /// sized by link latency alone, so this is mesh-size independent —
-    /// the property [`crate::network::Network::memory_footprint`] audits.
+    /// Heap bytes owned by this channel's slot rings. The rings are sized
+    /// by link latency alone, so this is mesh-size independent — the
+    /// property [`crate::network::Network::memory_footprint`] audits.
     pub fn heap_bytes(&self) -> usize {
-        self.fwd.ring.len() * std::mem::size_of::<Option<Flit>>()
-            + self.rev.credits.len() * std::mem::size_of::<LaneSlot<Credit>>()
-            + self.rev.control.len() * std::mem::size_of::<LaneSlot<ControlSignal>>()
+        self.fwd.len() * std::mem::size_of::<Option<Flit>>()
+            + self.rev.len() * std::mem::size_of::<ReverseSlot>()
     }
 
     /// Creates a channel for a link of latency `link_latency` cycles.
@@ -444,113 +404,92 @@ impl Channel {
     /// [`NetworkConfig::validate`](crate::config::NetworkConfig::validate)).
     pub fn new(link_latency: u64) -> Channel {
         assert!(link_latency >= 1, "link latency must be >= 1");
-        let fwd = (link_latency + Self::ROUTER_OVERHEAD) as usize;
-        let rev = link_latency as usize;
+        let (fwd, rev) = ring_depths(link_latency);
         Channel {
-            fwd: FwdLane {
-                ring: vec![None; fwd].into_boxed_slice(),
-                head: 0,
-                count: 0,
-            },
-            rev: RevLane {
-                credits: vec![LaneSlot::new(Credit::Vc(VcId(0))); rev].into_boxed_slice(),
-                control: vec![LaneSlot::new(ControlSignal::StartCreditTracking); rev]
-                    .into_boxed_slice(),
-                head: 0,
-                credit_count: 0,
-                control_count: 0,
-            },
+            fwd: vec![None; fwd as usize].into_boxed_slice(),
+            rev: vec![ReverseSlot::EMPTY; rev as usize].into_boxed_slice(),
         }
     }
 
     /// Total forward delay (cycles from arbitration win to downstream
     /// arbitration eligibility).
     pub fn forward_delay(&self) -> u64 {
-        self.fwd.ring.len() as u64
+        self.fwd.len() as u64 - 1
     }
 
     /// Reverse (credit/control) delay in cycles.
     pub fn reverse_delay(&self) -> u64 {
-        self.rev.credits.len() as u64
+        self.rev.len() as u64 - 1
     }
 
-    /// Sends a flit downstream. At most one flit may be pushed per cycle.
+    /// Sends a flit downstream in the cycle of `at`. At most one flit may
+    /// be pushed per cycle.
     ///
     /// # Panics
     ///
-    /// Panics if the entry slot is already occupied — that would mean two
-    /// flits crossed the same link in the same cycle, a router bug.
-    pub fn push_flit(&mut self, flit: Flit) {
-        self.fwd.push_flit(flit);
+    /// Panics if a flit was already pushed this cycle — two flits crossing
+    /// the same link in the same cycle is a router bug.
+    pub fn push_flit(&mut self, at: Slots, flit: Flit) {
+        put_flit(&mut self.fwd[at.fwd_send], flit);
     }
 
-    /// Whether a flit has already been pushed this cycle.
-    pub fn entry_occupied(&self) -> bool {
-        self.fwd.ring[self.fwd.tail()].is_some()
+    /// Sends a credit upstream in the cycle of `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`LANE_CAP`] credits in one cycle.
+    pub fn push_credit(&mut self, at: Slots, credit: Credit) {
+        self.rev[at.rev_send].push_credit(credit);
     }
 
-    /// Sends a credit upstream.
-    pub fn push_credit(&mut self, credit: Credit) {
-        self.rev.push_credit(credit);
+    /// Sends a control signal upstream in the cycle of `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`LANE_CAP`] signals in one cycle.
+    pub fn push_control(&mut self, at: Slots, signal: ControlSignal) {
+        self.rev[at.rev_send].push_control(signal);
     }
 
-    /// Sends a control signal upstream.
-    pub fn push_control(&mut self, signal: ControlSignal) {
-        self.rev.push_control(signal);
+    /// Takes the flit arriving downstream in the cycle of `at`.
+    pub fn take_flit(&mut self, at: Slots) -> Option<Flit> {
+        self.fwd[at.fwd_take].take()
     }
 
-    /// Advances both lanes one cycle and returns what arrives.
-    pub fn advance(&mut self) -> Delivery {
-        let flit = self.fwd.pop();
-        let (credits, control) = self.rev.pop();
-        Delivery {
-            flit,
-            credits,
-            control,
-        }
+    /// Takes the credits and control signals arriving upstream in the
+    /// cycle of `at`.
+    pub fn take_reverse(&mut self, at: Slots) -> ReverseSlot {
+        self.rev[at.rev_take].take()
     }
 
-    /// Number of flits currently in flight on the forward lane.
+    /// Number of flits currently in flight on the forward lane (a slot
+    /// scan — for audits, not the hot path).
     pub fn flits_in_flight(&self) -> usize {
-        self.fwd.count
+        self.fwd.iter().filter(|f| f.is_some()).count()
     }
 
     /// Number of credits currently in flight on the reverse lane (feeds the
-    /// network's credit-conservation audit).
+    /// network's credit-conservation audit; a slot scan).
     pub fn credits_in_flight(&self) -> usize {
-        self.rev.credit_count
+        self.rev.iter().map(|s| s.credits.len as usize).sum()
     }
 
-    /// Whether both lanes are completely empty. O(1): the lane rings keep
-    /// occupancy counts, so the activity-tracked engine can poll this per
-    /// cycle without scanning slots.
+    /// Whether both lanes are completely empty (a slot scan).
     pub fn is_drained(&self) -> bool {
-        self.fwd.count == 0 && self.rev.credit_count == 0 && self.rev.control_count == 0
+        self.fwd.iter().all(Option::is_none) && self.rev.iter().all(ReverseSlot::is_empty)
     }
 
-    /// Empties both lane rings in place (contents, heads, occupancy
-    /// counts) back to the freshly constructed state without freeing the
-    /// ring allocations. Stale items beyond a cleared slot's length are
-    /// unobservable: every read and [`Channel::save`] is gated by `len`.
+    /// Empties both rings in place, keeping their allocations.
     pub fn reset(&mut self) {
-        self.fwd.ring.fill(None);
-        self.fwd.head = 0;
-        self.fwd.count = 0;
-        for slot in self.rev.credits.iter_mut() {
-            slot.clear();
-        }
-        for slot in self.rev.control.iter_mut() {
-            slot.clear();
-        }
-        self.rev.head = 0;
-        self.rev.credit_count = 0;
-        self.rev.control_count = 0;
+        self.fwd.fill(None);
+        self.rev.fill(ReverseSlot::EMPTY);
     }
 
-    /// Serializes both lane rings (contents, heads) for a snapshot.
+    /// Serializes both rings in slot order for a snapshot. Ring depths are
+    /// not written: they follow from the link latency, which the snapshot
+    /// fingerprint records.
     pub fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.fwd.ring.len());
-        for slot in self.fwd.ring.iter() {
+        for slot in self.fwd.iter() {
             match slot {
                 Some(f) => {
                     w.put_bool(true);
@@ -559,119 +498,41 @@ impl Channel {
                 None => w.put_bool(false),
             }
         }
-        w.put_usize(self.fwd.head);
-        w.put_usize(self.rev.credits.len());
-        for slot in self.rev.credits.iter() {
-            w.put_u8(slot.len);
-            for c in slot.as_slice() {
-                match c {
-                    Credit::Vc(vc) => {
-                        w.put_u8(0);
-                        w.put_u8(vc.0);
-                    }
-                    Credit::Vnet(vn) => {
-                        w.put_u8(1);
-                        w.put_u8(vn.0);
-                    }
-                }
-            }
+        for slot in self.rev.iter() {
+            slot.credits.save(w, write_credit);
+            slot.control.save(w, write_control);
         }
-        for slot in self.rev.control.iter() {
-            w.put_u8(slot.len);
-            for s in slot.as_slice() {
-                write_control(w, *s);
-            }
-        }
-        w.put_usize(self.rev.head);
     }
 
-    /// Restores a channel written by [`Channel::save`]. Lane occupancy
-    /// counts are recomputed from the ring contents (self-validating).
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<Channel, SnapshotError> {
-        let fwd_len = r.get_usize("channel forward length")?;
-        if fwd_len < 1 + Self::ROUTER_OVERHEAD as usize {
-            return Err(SnapshotError::Malformed {
-                what: "channel forward length",
-            });
-        }
-        let mut fwd = Vec::with_capacity(fwd_len);
-        let mut fwd_count = 0;
-        for _ in 0..fwd_len {
-            if r.get_bool("channel forward slot")? {
-                fwd.push(Some(snapshot::read_flit(r)?));
-                fwd_count += 1;
+    /// Restores rings written by [`Channel::save`] into this channel, whose
+    /// depths (built from the same link latency) fix the layout. Virtual
+    /// network ids of flits and credits must lie below `vnets`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] for a bad presence byte, slot length,
+    /// tag or virtual network id; decode errors on truncation.
+    pub fn load(&mut self, r: &mut SnapshotReader<'_>, vnets: usize) -> Result<(), SnapshotError> {
+        for slot in self.fwd.iter_mut() {
+            *slot = if r.get_bool("channel flit presence")? {
+                let flit = snapshot::read_flit(r)?;
+                if flit.vnet.0 as usize >= vnets {
+                    return Err(SnapshotError::Malformed {
+                        what: "channel flit vnet",
+                    });
+                }
+                Some(flit)
             } else {
-                fwd.push(None);
-            }
+                None
+            };
         }
-        let fwd_head = r.get_usize("channel forward head")?;
-        let rev_len = r.get_usize("channel reverse length")?;
-        if fwd_head >= fwd_len || rev_len == 0 {
-            return Err(SnapshotError::Malformed {
-                what: "channel ring geometry",
-            });
+        for slot in self.rev.iter_mut() {
+            slot.credits
+                .load(r, "channel credit count", |r| read_credit(r, vnets))?;
+            slot.control
+                .load(r, "channel control count", read_control)?;
         }
-        let mut rev_credits = Vec::with_capacity(rev_len);
-        let mut credit_count = 0;
-        for _ in 0..rev_len {
-            let n = r.get_u8("channel credit slot length")?;
-            if n as usize > LANE_CAP {
-                return Err(SnapshotError::Malformed {
-                    what: "channel credit slot length",
-                });
-            }
-            let mut slot = LaneSlot::new(Credit::Vc(VcId(0)));
-            for _ in 0..n {
-                let c = match r.get_u8("channel credit tag")? {
-                    0 => Credit::Vc(VcId(r.get_u8("channel credit vc")?)),
-                    1 => Credit::Vnet(VirtualNetwork(r.get_u8("channel credit vnet")?)),
-                    _ => {
-                        return Err(SnapshotError::Malformed {
-                            what: "channel credit tag",
-                        })
-                    }
-                };
-                slot.push(c);
-                credit_count += 1;
-            }
-            rev_credits.push(slot);
-        }
-        let mut rev_control = Vec::with_capacity(rev_len);
-        let mut control_count = 0;
-        for _ in 0..rev_len {
-            let n = r.get_u8("channel control slot length")?;
-            if n as usize > LANE_CAP {
-                return Err(SnapshotError::Malformed {
-                    what: "channel control slot length",
-                });
-            }
-            let mut slot = LaneSlot::new(ControlSignal::StartCreditTracking);
-            for _ in 0..n {
-                slot.push(read_control(r)?);
-                control_count += 1;
-            }
-            rev_control.push(slot);
-        }
-        let rev_head = r.get_usize("channel reverse head")?;
-        if rev_head >= rev_len {
-            return Err(SnapshotError::Malformed {
-                what: "channel reverse head",
-            });
-        }
-        Ok(Channel {
-            fwd: FwdLane {
-                ring: fwd.into_boxed_slice(),
-                head: fwd_head,
-                count: fwd_count,
-            },
-            rev: RevLane {
-                credits: rev_credits.into_boxed_slice(),
-                control: rev_control.into_boxed_slice(),
-                head: rev_head,
-                credit_count,
-                control_count,
-            },
-        })
+        Ok(())
     }
 }
 
@@ -685,49 +546,69 @@ mod tests {
         Flit::test_flit(PacketId(n), NodeId::new(0), NodeId::new(1))
     }
 
+    /// Cycles after `sent` until `take` first yields something, or `None`.
+    fn arrival(latency: u64, sent: Cycle, mut take: impl FnMut(Slots) -> bool) -> Option<u64> {
+        (sent + 1..sent + 100)
+            .find(|&t| take(Slots::at(t, latency)))
+            .map(|t| t - sent)
+    }
+
     #[test]
     fn forward_delay_is_latency_plus_two() {
         for latency in 1..=4 {
-            let mut ch = Channel::new(latency);
-            assert_eq!(ch.forward_delay(), latency + 2);
-            ch.push_flit(flit(1));
-            let mut cycles = 0;
-            loop {
-                cycles += 1;
-                if ch.advance().flit.is_some() {
-                    break;
-                }
-                assert!(cycles < 100);
+            for sent in [0, 5, 17] {
+                let mut ch = Channel::new(latency);
+                assert_eq!(ch.forward_delay(), latency + 2);
+                ch.push_flit(Slots::at(sent, latency), flit(1));
+                let delay = arrival(latency, sent, |at| ch.take_flit(at).is_some());
+                assert_eq!(delay, Some(latency + 2));
+                assert!(ch.is_drained());
             }
-            assert_eq!(cycles, latency + 2);
         }
     }
 
     #[test]
     fn reverse_delay_is_latency() {
-        let mut ch = Channel::new(3);
-        ch.push_credit(Credit::Vc(VcId(2)));
-        ch.push_control(ControlSignal::StartCreditTracking);
-        let mut cycles = 0;
-        loop {
-            cycles += 1;
-            let d = ch.advance();
-            if !d.credits().is_empty() {
-                assert_eq!(d.credits(), &[Credit::Vc(VcId(2))]);
-                assert_eq!(d.control(), &[ControlSignal::StartCreditTracking]);
-                break;
-            }
-            assert!(cycles < 100);
+        for latency in 1..=4 {
+            let mut ch = Channel::new(latency);
+            assert_eq!(ch.reverse_delay(), latency);
+            let sent = 9;
+            ch.push_credit(Slots::at(sent, latency), Credit::Vc(VcId(2)));
+            ch.push_control(Slots::at(sent, latency), ControlSignal::StartCreditTracking);
+            let delay = arrival(latency, sent, |at| {
+                let back = ch.take_reverse(at);
+                if back.credits().is_empty() {
+                    return false;
+                }
+                assert_eq!(back.credits(), &[Credit::Vc(VcId(2))]);
+                assert_eq!(back.control(), &[ControlSignal::StartCreditTracking]);
+                true
+            });
+            assert_eq!(delay, Some(latency));
+            assert!(ch.is_drained());
         }
-        assert_eq!(cycles, 3);
+    }
+
+    #[test]
+    fn slots_of_one_cycle_never_collide() {
+        // Delivery and pushes of one cycle touch different slots, which is
+        // what lets both ends of a link work in the same cycle unordered.
+        for latency in 1..=5 {
+            for now in 0..50 {
+                let at = Slots::at(now, latency);
+                assert_ne!(at.fwd_take, at.fwd_send);
+                assert_ne!(at.rev_take, at.rev_send);
+                assert_eq!(at.next(latency), Slots::at(now + 1, latency));
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "link overdriven")]
     fn double_push_panics() {
         let mut ch = Channel::new(1);
-        ch.push_flit(flit(1));
-        ch.push_flit(flit(2));
+        ch.push_flit(Slots::at(3, 1), flit(1));
+        ch.push_flit(Slots::at(3, 1), flit(2));
     }
 
     #[test]
@@ -735,35 +616,38 @@ mod tests {
     fn lane_slot_overflow_panics() {
         let mut ch = Channel::new(1);
         for _ in 0..=LANE_CAP {
-            ch.push_credit(Credit::Vc(VcId(0)));
+            ch.push_credit(Slots::at(0, 1), Credit::Vc(VcId(0)));
         }
     }
 
     #[test]
     fn pipelining_allows_one_flit_per_cycle() {
+        // The engine's order within a cycle: delivery, then pushes.
         let mut ch = Channel::new(2);
-        let mut received = 0;
-        for i in 0..20u64 {
-            ch.push_flit(flit(i));
-            if ch.advance().flit.is_some() {
-                received += 1;
+        let mut received = Vec::new();
+        for t in 0..20u64 {
+            let at = Slots::at(t, 2);
+            if let Some(f) = ch.take_flit(at) {
+                received.push((t, f.packet.0));
             }
+            ch.push_flit(at, flit(t));
         }
-        // A flit pushed on iteration `i` pops on the 4th advance, i.e. on
-        // iteration `i + 3` (the network engine then delivers it at the
-        // start of the next cycle, completing the 4-cycle delay).
-        assert_eq!(received, 20 - 3);
-        assert_eq!(ch.flits_in_flight(), 3);
+        // Flit `i`, pushed at cycle `i`, arrives at cycle `i + 4`.
+        let want: Vec<(u64, u64)> = (0..16).map(|i| (i + 4, i)).collect();
+        assert_eq!(received, want);
+        assert_eq!(ch.flits_in_flight(), 4);
         assert!(!ch.is_drained());
     }
 
     #[test]
     fn drains_to_empty() {
         let mut ch = Channel::new(2);
-        ch.push_flit(flit(0));
-        ch.push_credit(Credit::Vnet(VirtualNetwork(1)));
-        for _ in 0..10 {
-            ch.advance();
+        ch.push_flit(Slots::at(0, 2), flit(0));
+        ch.push_credit(Slots::at(0, 2), Credit::Vnet(VirtualNetwork(1)));
+        assert!(!ch.is_drained());
+        for t in 1..10 {
+            ch.take_flit(Slots::at(t, 2));
+            ch.take_reverse(Slots::at(t, 2));
         }
         assert!(ch.is_drained());
     }
@@ -774,60 +658,67 @@ mod tests {
         // before a control signal must arrive the cycle before it. AFC's
         // correctness argument for the reverse switch relies on this.
         let mut ch = Channel::new(2);
-        ch.push_credit(Credit::Vc(VcId(1)));
-        let d1 = ch.advance();
-        assert!(d1.credits().is_empty());
-        ch.push_control(ControlSignal::StopCreditTracking);
-        let d2 = ch.advance();
+        ch.push_credit(Slots::at(0, 2), Credit::Vc(VcId(1)));
+        assert!(ch.take_reverse(Slots::at(1, 2)).credits().is_empty());
+        ch.push_control(Slots::at(1, 2), ControlSignal::StopCreditTracking);
+        let d2 = ch.take_reverse(Slots::at(2, 2));
         assert_eq!(d2.credits(), &[Credit::Vc(VcId(1))]);
         assert!(d2.control().is_empty());
-        let d3 = ch.advance();
+        let d3 = ch.take_reverse(Slots::at(3, 2));
         assert_eq!(d3.control(), &[ControlSignal::StopCreditTracking]);
+        assert_eq!(ch.credits_in_flight(), 0);
     }
 
     #[test]
     fn channel_snapshot_round_trip_is_exact() {
         let mut ch = Channel::new(3);
-        ch.push_flit(flit(1));
-        ch.advance();
-        ch.push_flit(flit(2));
-        ch.push_credit(Credit::Vc(VcId(1)));
-        ch.push_credit(Credit::Vnet(VirtualNetwork(2)));
-        ch.push_control(ControlSignal::StopCreditTracking);
+        ch.push_flit(Slots::at(0, 3), flit(1));
+        ch.push_flit(Slots::at(1, 3), flit(2));
+        ch.push_credit(Slots::at(1, 3), Credit::Vc(VcId(1)));
+        ch.push_credit(Slots::at(1, 3), Credit::Vnet(VirtualNetwork(2)));
+        ch.push_control(Slots::at(1, 3), ControlSignal::StopCreditTracking);
         let mut w = SnapshotWriter::new();
         ch.save(&mut w);
         let bytes = w.into_bytes();
+        let mut restored = Channel::new(3);
         let mut r = SnapshotReader::new(&bytes);
-        let mut restored = Channel::load(&mut r).unwrap();
+        restored.load(&mut r, 3).unwrap();
         r.finish("channel").unwrap();
-        assert_eq!(restored.flits_in_flight(), ch.flits_in_flight());
-        assert_eq!(restored.credits_in_flight(), ch.credits_in_flight());
-        // Advancing both to drain must produce identical deliveries.
-        for _ in 0..10 {
-            let a = ch.advance();
-            let b = restored.advance();
-            assert_eq!(a.flit, b.flit);
+        assert_eq!(restored.flits_in_flight(), 2);
+        assert_eq!(restored.credits_in_flight(), 2);
+        // Delivering both to drain must produce identical arrivals.
+        for t in 2..12 {
+            let at = Slots::at(t, 3);
+            assert_eq!(ch.take_flit(at), restored.take_flit(at));
+            let (a, b) = (ch.take_reverse(at), restored.take_reverse(at));
             assert_eq!(a.credits(), b.credits());
             assert_eq!(a.control(), b.control());
         }
         assert!(restored.is_drained());
+        // A credit on a virtual network the configuration lacks is refused.
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(
+            Channel::new(3).load(&mut r, 2),
+            Err(SnapshotError::Malformed {
+                what: "credit vnet"
+            })
+        );
     }
 
     #[test]
     fn flits_preserve_order() {
         let mut ch = Channel::new(1);
         let mut out = Vec::new();
-        for i in 0..6u64 {
-            ch.push_flit(flit(i));
-            if let Some(f) = ch.advance().flit {
+        for t in 0..12u64 {
+            let at = Slots::at(t, 1);
+            if let Some(f) = ch.take_flit(at) {
                 out.push(f.packet.0);
             }
-        }
-        for _ in 0..6 {
-            if let Some(f) = ch.advance().flit {
-                out.push(f.packet.0);
+            if t < 6 {
+                ch.push_flit(at, flit(t));
             }
         }
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert!(ch.is_drained());
     }
 }

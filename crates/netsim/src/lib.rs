@@ -21,13 +21,16 @@
 //!
 //! ## Cycle semantics
 //!
-//! Every simulated cycle proceeds in four phases:
+//! Every simulated cycle proceeds in three phases:
 //!
 //! 1. channels deliver arrivals (flits, credits, control signals) to routers,
 //! 2. network interfaces attempt packet injection (routers may refuse —
 //!    injection-port backpressure exists even for backpressureless routers),
-//! 3. every router executes one pipeline step and produces outputs,
-//! 4. channel pipelines advance.
+//! 3. every router executes one pipeline step and produces outputs.
+//!
+//! Channels have no phase of their own: a lane is a ring indexed by the
+//! clock, so an output pushed in phase 3 waits in the slot that phase 1
+//! reads at its arrival cycle ([`channel`]).
 //!
 //! A flit that wins switch arbitration at cycle `T` becomes eligible for
 //! arbitration at the next router at cycle `T + 2 + L` where `L` is the link

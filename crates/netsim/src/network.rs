@@ -14,7 +14,7 @@
 //! so the mode can be toggled mid-run and must produce byte-identical
 //! results — the self-check the golden tests pin.
 
-use crate::channel::Channel;
+use crate::channel::{Channel, Slots};
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
 use crate::error::SimError;
@@ -96,8 +96,12 @@ impl ActiveSet {
     }
 
     /// Empties the set in place.
-    fn fill_empty(&mut self) {
+    pub(crate) fn fill_empty(&mut self) {
         self.words.fill(0);
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
     }
 
     #[inline]
@@ -226,7 +230,8 @@ pub struct MemoryFootprint {
     pub channel_bytes: usize,
     /// Parallel engine: plan tables and per-shard deltas (0 when serial).
     pub engine_bytes: usize,
-    /// Everything else: stats, staging, activity bitmasks, queues, logs.
+    /// Everything else: stats, activity bitmasks and the due calendar,
+    /// queues, logs.
     pub other_bytes: usize,
     /// Mesh nodes, for per-node normalization.
     pub nodes: usize,
@@ -253,7 +258,7 @@ impl MemoryFootprint {
 /// accumulated while [`Network::set_phase_profiling`] is enabled.
 ///
 /// Categories follow the cycle structure (see `try_step`): `channel_ns`
-/// covers delivery (phase 1) and advance (phase 4); `ni_ns` covers the
+/// covers channel delivery (phase 1); `ni_ns` covers the
 /// NACK/ack/timeout plumbing and injection (phases 2a/2b/3b); `router_ns`
 /// is the router pipeline walk (phase 3); `merge_ns` is time spent inside
 /// the parallel engine (shard step + merge tree — zero on serial runs);
@@ -266,7 +271,7 @@ impl MemoryFootprint {
 /// unprofiled total, not absolute sums.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseProfile {
-    /// Channel delivery + advance (phases 1 and 4).
+    /// Channel delivery (phase 1).
     pub channel_ns: u64,
     /// NI work: NACK/ack/timeouts, injection, corrupt/ack pickup (2a/2b/3b).
     pub ni_ns: u64,
@@ -313,8 +318,10 @@ pub struct Network {
     pub(crate) out_chan: Vec<DirMap<Option<usize>>>,
     /// Incoming channel index per (node, direction of the input port).
     pub(crate) in_chan: Vec<DirMap<Option<usize>>>,
-    pub(crate) pending: Vec<crate::channel::Delivery>,
     pub(crate) now: Cycle,
+    /// Ring slots of cycle `now` (`Slots::at(now, L)`); derived from the
+    /// clock, advanced each step without a division.
+    pub(crate) slots: Slots,
     pub(crate) rng: SimRng,
     /// Independent RNG stream for the fault plane: drawing fault outcomes
     /// never perturbs router/traffic randomness, so a run with an empty
@@ -332,6 +339,8 @@ pub struct Network {
     /// Per-channel flits held back at the receiving end while the receiver
     /// is stalled by a fault (released one per cycle once the stall lifts).
     pub(crate) held: Vec<VecDeque<Flit>>,
+    /// Channels whose `held` queue is non-empty (derived, not snapshotted).
+    pub(crate) held_set: ActiveSet,
     /// Log of injected faults (capped at [`Network::FAULT_LOG_CAP`]).
     pub(crate) fault_log: Vec<FaultEvent>,
     /// The fault plan compiled per directed link: the only form of the plan
@@ -366,8 +375,13 @@ pub struct Network {
     full_scan: bool,
     /// Routers that must be stepped: everything not proven quiescent.
     pub(crate) router_active: ActiveSet,
-    /// Channels with anything on a lane, staged for delivery, or held.
-    pub(crate) chan_active: ActiveSet,
+    /// The due calendar: per forward-ring slot, the channels with a flit
+    /// in that slot; phase 1 of cycle `t` walks slot `t mod (L + 3)`.
+    /// Derived from the rings (rebuilt on snapshot load).
+    pub(crate) fwd_due: Vec<ActiveSet>,
+    /// Per reverse-ring slot, the channels with credits or control in it;
+    /// phase 1 of cycle `t` walks slot `t mod (L + 1)`.
+    pub(crate) rev_due: Vec<ActiveSet>,
     /// NIs with send-side work (queued packets or pending retransmits).
     pub(crate) ni_send_active: ActiveSet,
     /// NIs holding completed packets awaiting [`Network::take_delivered`].
@@ -380,7 +394,7 @@ pub struct Network {
     /// [`Network::mode_slot`]) so per-cycle mode stats are O(1), not O(n).
     pub(crate) modes_cache: Vec<RouterMode>,
     pub(crate) mode_counts: [u64; 3],
-    /// Flits inside routers/channels/staged/held, maintained incrementally
+    /// Flits inside routers/channels/held, maintained incrementally
     /// (cross-checked against [`Network::flits_in_network`] in debug).
     pub(crate) in_flight: usize,
     /// Flits sitting in NI retransmit queues, maintained incrementally.
@@ -498,7 +512,6 @@ impl Network {
                 }
             }
         }
-        let pending = vec![crate::channel::Delivery::default(); channels.len()];
         let held = vec![VecDeque::new(); channels.len()];
         let rng = SimRng::seed_from(seed);
         let fault_rng = rng.fork(0x00FA_0171);
@@ -521,6 +534,10 @@ impl Network {
             mode_counts[Self::mode_slot(*m)] += 1;
         }
         let chan_count = channels.len();
+        let (fwd_depth, rev_depth) = crate::channel::ring_depths(config.link_latency);
+        let fwd_due = vec![ActiveSet::empty(chan_count); fwd_depth as usize];
+        let rev_due = vec![ActiveSet::empty(chan_count); rev_depth as usize];
+        let slots = Slots::at(0, config.link_latency);
 
         Ok(Network {
             mesh,
@@ -534,8 +551,8 @@ impl Network {
             ends,
             out_chan,
             in_chan,
-            pending,
             now: 0,
+            slots,
             rng,
             fault_rng,
             fault_index,
@@ -545,6 +562,7 @@ impl Network {
             nack_queue: Vec::new(),
             ack_queue: Vec::new(),
             held,
+            held_set: ActiveSet::empty(chan_count),
             fault_log: Vec::new(),
             detect_schedule,
             detect_next: 0,
@@ -557,11 +575,12 @@ impl Network {
             audit_baseline: 0,
             offer_log: None,
             full_scan,
-            // Conservative starts: every router/channel/NI walks until it
-            // proves itself inactive (unknown implementations default to
+            // Conservative starts: every router/NI walks until it proves
+            // itself inactive (unknown implementations default to
             // never-quiescent and simply stay on the always-step path).
             router_active: ActiveSet::full(n),
-            chan_active: ActiveSet::full(chan_count),
+            fwd_due,
+            rev_due,
             ni_send_active: ActiveSet::full(n),
             ni_delivered: ActiveSet::empty(n),
             accounted_upto: vec![0; n],
@@ -728,11 +747,11 @@ impl Network {
         self.replan_every = cycles;
     }
 
-    /// The shard boundaries (node starts, channel starts) a fresh engine
-    /// would use right now for the given thread budget. Test hook for the
-    /// shard-planner property suite.
+    /// The shard boundaries (node starts) a fresh engine would use right
+    /// now for the given thread budget. Test hook for the shard-planner
+    /// property suite.
     #[doc(hidden)]
-    pub fn debug_shard_plan(&self, threads: usize) -> (Vec<usize>, Vec<usize>) {
+    pub fn debug_shard_plan(&self, threads: usize) -> Vec<usize> {
         crate::parallel::plan_preview(self, threads)
     }
 
@@ -769,7 +788,6 @@ impl Network {
             + self.scratch.heap_bytes()
             + (self.out_chan.capacity() + self.in_chan.capacity())
                 * size_of::<DirMap<Option<usize>>>()
-            + self.pending.capacity() * size_of::<crate::channel::Delivery>()
             + self.nack_queue.capacity() * size_of::<(Cycle, Flit)>()
             + self.ack_queue.capacity() * size_of::<(Cycle, NodeId, PacketId)>()
             + self.fault_log.capacity() * size_of::<FaultEvent>()
@@ -778,7 +796,13 @@ impl Network {
             + self.accounted_upto.capacity() * size_of::<Cycle>()
             + self.modes_cache.capacity() * size_of::<RouterMode>()
             + self.router_active.heap_bytes()
-            + self.chan_active.heap_bytes()
+            + self
+                .fwd_due
+                .iter()
+                .chain(&self.rev_due)
+                .map(ActiveSet::heap_bytes)
+                .sum::<usize>()
+            + self.held_set.heap_bytes()
             + self.ni_send_active.heap_bytes()
             + self.ni_delivered.heap_bytes();
         let fp = MemoryFootprint {
@@ -854,7 +878,7 @@ impl Network {
             .unwrap_or_default()
     }
 
-    /// Advances the simulation one cycle (four phases — see crate docs).
+    /// Advances the simulation one cycle (three phases — see crate docs).
     ///
     /// # Panics
     ///
@@ -882,6 +906,8 @@ impl Network {
         let now = self.now;
         let faults_active = !self.config.faults.is_empty();
         let fast = self.fast_path();
+        let at = self.slots;
+        debug_assert_eq!(at, Slots::at(now, self.config.link_latency));
         let mut lap = self.phase_profile.is_some().then(std::time::Instant::now);
 
         // Phase 0: deterministic fault/repair detection. Each alive-state
@@ -958,22 +984,31 @@ impl Network {
             }
         }
 
-        // Phase 1: deliver staged channel arrivals. Arriving flits pass
-        // through the fault plane (drop/corrupt/kill) and are held back
-        // while the receiving router is stalled; credits cross the fault
-        // plane's credit-loss stage on their way upstream.
+        // Phase 1: deliver this cycle's channel arrivals — the channels
+        // due in this cycle's ring slots plus those holding flits back, in
+        // ascending channel order. Arriving flits pass through the fault
+        // plane (drop/corrupt/kill) and are held back while the receiving
+        // router is stalled; credits cross the fault plane's credit-loss
+        // stage on their way upstream.
+        let (fwd_due, rev_due) = (at.fwd_take, at.rev_take);
         if fast {
-            for wi in 0..self.chan_active.word_count() {
-                let mut w = self.chan_active.word(wi);
+            for wi in 0..self.held_set.word_count() {
+                let flits = std::mem::take(&mut self.fwd_due[fwd_due].words[wi]);
+                let backs = std::mem::take(&mut self.rev_due[rev_due].words[wi]);
+                let mut w = flits | backs | self.held_set.word(wi);
                 while w != 0 {
-                    let c = (wi << 6) + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.deliver_channel(c, now, faults_active)?;
+                    let bit = w & w.wrapping_neg();
+                    w ^= bit;
+                    let c = (wi << 6) + bit.trailing_zeros() as usize;
+                    let (flit, back) = (flits & bit != 0, backs & bit != 0);
+                    self.deliver_channel(c, at, now, faults_active, flit, back)?;
                 }
             }
         } else {
+            self.fwd_due[fwd_due].fill_empty();
+            self.rev_due[rev_due].fill_empty();
             for c in 0..self.channels.len() {
-                self.deliver_channel(c, now, faults_active)?;
+                self.deliver_channel(c, at, now, faults_active, true, true)?;
             }
         }
         if let Some(p) = self.phase_profile.as_deref_mut() {
@@ -1061,7 +1096,7 @@ impl Network {
                 while w != 0 {
                     let i = (wi << 6) + w.trailing_zeros() as usize;
                     w &= w - 1;
-                    self.step_one_router(i, now)?;
+                    self.step_one_router(i, at, now)?;
                 }
             }
         } else {
@@ -1073,7 +1108,7 @@ impl Network {
                     self.accounted_upto[i] = now + 1;
                     continue;
                 }
-                self.step_one_router(i, now)?;
+                self.step_one_router(i, at, now)?;
             }
         }
         if let Some(p) = self.phase_profile.as_deref_mut() {
@@ -1104,27 +1139,8 @@ impl Network {
             p.ni_ns += lap_ns(&mut lap);
         }
 
-        // Phase 4: advance channels; stage next cycle's deliveries. An
-        // inactive channel is fully empty, so skipping its advance() only
-        // skips rotating an all-empty ring — unobservable.
-        if fast {
-            for wi in 0..self.chan_active.word_count() {
-                let mut w = self.chan_active.word(wi);
-                while w != 0 {
-                    let c = (wi << 6) + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.advance_channel(c);
-                }
-            }
-        } else {
-            for c in 0..self.channels.len() {
-                self.advance_channel(c);
-            }
-        }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.channel_ns += lap_ns(&mut lap);
-        }
         self.now += 1;
+        self.slots = at.next(self.config.link_latency);
         self.stats.cycles += 1;
         self.stats.cycles_backpressured += self.mode_counts[0];
         self.stats.cycles_backpressureless += self.mode_counts[1];
@@ -1184,90 +1200,108 @@ impl Network {
         Ok(())
     }
 
-    /// Phase-1 body for one channel: route its staged delivery (and any
-    /// held-back flits) into the adjacent routers.
+    /// Phase-1 body for one channel: take what arrives in this cycle's
+    /// ring slots (and any held-back flit) into the adjacent routers.
+    /// `flit_due`/`back_due` say which ring may hold an arrival (the due
+    /// calendar's bits; both `true` on the full scan), so a lane with
+    /// nothing due is not touched.
     fn deliver_channel(
         &mut self,
         c: usize,
+        at: Slots,
         now: Cycle,
         faults_active: bool,
+        flit_due: bool,
+        back_due: bool,
     ) -> Result<(), SimError> {
-        if self.pending[c].is_empty() && self.held[c].is_empty() {
-            return Ok(());
-        }
-        let delivery = std::mem::take(&mut self.pending[c]);
         let ends = self.ends[c];
-        if let Some(flit) = delivery.flit {
-            self.held[c].push_back(flit);
-        }
-        for &credit in delivery.credits() {
-            if faults_active
-                && self
-                    .fault_index
-                    .credit_lost(ends.from, ends.dir, now, &mut self.fault_rng)
-            {
-                self.stats.credits_lost += 1;
-                self.stats.faults_injected += 1;
-                self.credits_faulted += 1;
-                self.log_fault(FaultEvent {
-                    cycle: now,
-                    from: ends.from,
-                    dir: ends.dir,
-                    kind: FaultEventKind::CreditLost,
-                });
-                continue;
-            }
-            self.credits_delivered += 1;
-            self.router_active.insert(ends.from.index());
-            self.routers[ends.from.index()].receive_credit(PortId::Net(ends.dir), credit, now);
-        }
-        for &signal in delivery.control() {
-            self.router_active.insert(ends.from.index());
-            self.routers[ends.from.index()].receive_control(PortId::Net(ends.dir), signal, now);
-        }
-        if faults_active && self.config.faults.router_stalled(ends.to, now) {
-            // The receiver is frozen: arrivals wait in `held` and drain
-            // one per cycle (the link's bandwidth) once the stall lifts.
-            return Ok(());
-        }
-        if let Some(mut flit) = self.held[c].pop_front() {
-            if faults_active {
-                match self
-                    .fault_index
-                    .flit_fate(ends.from, ends.dir, now, &mut self.fault_rng)
+        let arrived = if flit_due {
+            self.channels[c].take_flit(at)
+        } else {
+            None
+        };
+        if back_due {
+            let back = self.channels[c].take_reverse(at);
+            for &credit in back.credits() {
+                if faults_active
+                    && self
+                        .fault_index
+                        .credit_lost(ends.from, ends.dir, now, &mut self.fault_rng)
                 {
-                    FlitFate::Drop => {
-                        self.stats.flits_lost_to_faults += 1;
-                        self.stats.faults_injected += 1;
-                        self.in_flight -= 1;
-                        self.log_fault(FaultEvent::for_flit(now, ends.from, ends.dir, &flit, true));
-                        return Ok(());
-                    }
-                    FlitFate::Corrupt => {
-                        flit.corrupt();
-                        self.stats.faults_injected += 1;
-                        self.log_fault(FaultEvent::for_flit(
-                            now, ends.from, ends.dir, &flit, false,
-                        ));
-                    }
-                    FlitFate::Deliver => {}
-                }
-            }
-            if self.config.max_flit_age > 0 {
-                let age = now.saturating_sub(flit.injected_at);
-                if age > self.config.max_flit_age {
-                    return Err(SimError::FlitOverAge {
+                    self.stats.credits_lost += 1;
+                    self.stats.faults_injected += 1;
+                    self.credits_faulted += 1;
+                    self.log_fault(FaultEvent {
                         cycle: now,
-                        limit: self.config.max_flit_age,
-                        age,
-                        node: ends.to,
-                        flit,
+                        from: ends.from,
+                        dir: ends.dir,
+                        kind: FaultEventKind::CreditLost,
                     });
+                    continue;
                 }
+                self.credits_delivered += 1;
+                self.router_active.insert(ends.from.index());
+                self.routers[ends.from.index()].receive_credit(PortId::Net(ends.dir), credit, now);
             }
-            self.router_active.insert(ends.to.index());
-            self.routers[ends.to.index()].receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
+            for &signal in back.control() {
+                self.router_active.insert(ends.from.index());
+                self.routers[ends.from.index()].receive_control(PortId::Net(ends.dir), signal, now);
+            }
         }
+        let stalled = faults_active && self.config.faults.router_stalled(ends.to, now);
+        let next = if stalled || self.held_set.contains(c) {
+            // The receiver is frozen, or earlier arrivals still wait:
+            // arrivals queue in `held` and drain one per cycle (the link's
+            // bandwidth) once the stall lifts.
+            let held = &mut self.held[c];
+            held.extend(arrived);
+            let next = if stalled { None } else { held.pop_front() };
+            if held.is_empty() {
+                self.held_set.remove(c);
+            } else {
+                self.held_set.insert(c);
+            }
+            next
+        } else {
+            arrived
+        };
+        let Some(mut flit) = next else {
+            return Ok(());
+        };
+        if faults_active {
+            match self
+                .fault_index
+                .flit_fate(ends.from, ends.dir, now, &mut self.fault_rng)
+            {
+                FlitFate::Drop => {
+                    self.stats.flits_lost_to_faults += 1;
+                    self.stats.faults_injected += 1;
+                    self.in_flight -= 1;
+                    self.log_fault(FaultEvent::for_flit(now, ends.from, ends.dir, &flit, true));
+                    return Ok(());
+                }
+                FlitFate::Corrupt => {
+                    flit.corrupt();
+                    self.stats.faults_injected += 1;
+                    self.log_fault(FaultEvent::for_flit(now, ends.from, ends.dir, &flit, false));
+                }
+                FlitFate::Deliver => {}
+            }
+        }
+        if self.config.max_flit_age > 0 {
+            let age = now.saturating_sub(flit.injected_at);
+            if age > self.config.max_flit_age {
+                return Err(SimError::FlitOverAge {
+                    cycle: now,
+                    limit: self.config.max_flit_age,
+                    age,
+                    node: ends.to,
+                    flit,
+                });
+            }
+        }
+        self.router_active.insert(ends.to.index());
+        self.routers[ends.to.index()].receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
         Ok(())
     }
 
@@ -1293,7 +1327,7 @@ impl Network {
 
     /// Phase-3 body for one router: replay pending idle cycles, step it,
     /// and route its outputs into channels and the local NI.
-    fn step_one_router(&mut self, i: usize, now: Cycle) -> Result<(), SimError> {
+    fn step_one_router(&mut self, i: usize, at: Slots, now: Cycle) -> Result<(), SimError> {
         let pending_idle = now - self.accounted_upto[i];
         if pending_idle > 0 {
             #[cfg(debug_assertions)]
@@ -1322,13 +1356,13 @@ impl Network {
                         flit,
                     });
                 };
-                self.chan_active.insert(chan);
-                self.channels[chan].push_flit(flit);
+                self.fwd_due[at.fwd_send].insert(chan);
+                self.channels[chan].push_flit(at, flit);
             }
             for &credit in &self.scratch.credits[PortId::Net(dir)] {
                 if let Some(chan) = self.in_chan[i][dir] {
-                    self.chan_active.insert(chan);
-                    self.channels[chan].push_credit(credit);
+                    self.rev_due[at.rev_send].insert(chan);
+                    self.channels[chan].push_credit(at, credit);
                     self.credits_pushed += 1;
                 }
             }
@@ -1343,8 +1377,8 @@ impl Network {
         for &signal in &self.scratch.control {
             for dir in Direction::ALL {
                 if let Some(chan) = self.in_chan[i][dir] {
-                    self.chan_active.insert(chan);
-                    self.channels[chan].push_control(signal);
+                    self.rev_due[at.rev_send].insert(chan);
+                    self.channels[chan].push_control(at, signal);
                 }
             }
         }
@@ -1385,14 +1419,26 @@ impl Network {
         Ok(())
     }
 
-    /// Phase-4 body for one channel.
-    fn advance_channel(&mut self, c: usize) {
-        self.pending[c] = self.channels[c].advance();
-        if self.pending[c].is_empty() && self.held[c].is_empty() && self.channels[c].is_drained() {
-            self.chan_active.remove(c);
-        } else {
-            self.chan_active.insert(c);
-        }
+    /// Channels with anything on a lane or held back: the union of every
+    /// due slot and the held set (the parallel gate's channel count).
+    pub(crate) fn live_channel_count(&self) -> usize {
+        (0..self.held_set.word_count())
+            .map(|wi| {
+                let word = (self.fwd_due.iter().chain(&self.rev_due))
+                    .fold(self.held_set.word(wi), |w, set| w | set.word(wi));
+                word.count_ones() as usize
+            })
+            .sum()
+    }
+
+    /// Whether channel `c` has anything on a lane or held back.
+    pub(crate) fn channel_live(&self, c: usize) -> bool {
+        self.held_set.contains(c)
+            || self
+                .fwd_due
+                .iter()
+                .chain(&self.rev_due)
+                .any(|s| s.contains(c))
     }
 
     pub(crate) fn mode_slot(mode: RouterMode) -> usize {
@@ -1432,9 +1478,8 @@ impl Network {
     pub fn flits_in_network(&self) -> usize {
         let in_routers: usize = self.routers.iter().map(|r| r.occupancy()).sum();
         let in_channels: usize = self.channels.iter().map(Channel::flits_in_flight).sum();
-        let staged: usize = self.pending.iter().filter(|d| d.flit.is_some()).count();
         let held: usize = self.held.iter().map(VecDeque::len).sum();
-        in_routers + in_channels + staged + held
+        in_routers + in_channels + held
     }
 
     /// True when no flit is anywhere in the system and all NIs are idle.
@@ -1566,13 +1611,15 @@ impl Network {
         for c in &mut self.channels {
             c.reset();
         }
-        for p in &mut self.pending {
-            *p = crate::channel::Delivery::default();
-        }
         for h in &mut self.held {
             h.clear();
         }
+        for set in self.fwd_due.iter_mut().chain(&mut self.rev_due) {
+            set.fill_empty();
+        }
+        self.held_set.fill_empty();
         self.now = 0;
+        self.slots = Slots::at(0, self.config.link_latency);
         self.rng = SimRng::seed_from(seed);
         self.fault_rng = self.rng.fork(0x00FA_0171);
         self.stats.clear();
@@ -1593,7 +1640,6 @@ impl Network {
         self.audit_baseline = 0;
         self.offer_log = None;
         self.router_active.fill_full(n);
-        self.chan_active.fill_full(self.channels.len());
         self.ni_send_active.fill_full(n);
         self.ni_delivered.fill_empty();
         self.accounted_upto.fill(0);
@@ -1683,18 +1729,15 @@ impl Network {
     /// Returns a human-readable description of the imbalance.
     pub fn credit_audit(&self) -> Result<(), String> {
         let on_wire: usize = self.channels.iter().map(Channel::credits_in_flight).sum();
-        let staged: usize = self.pending.iter().map(|d| d.credits().len()).sum();
         let lhs = self.credits_pushed;
-        let rhs = self.credits_delivered + self.credits_faulted + (on_wire + staged) as u64;
+        let rhs = self.credits_delivered + self.credits_faulted + on_wire as u64;
         if lhs == rhs {
             Ok(())
         } else {
             Err(format!(
                 "credit conservation violated: pushed {lhs} != delivered {} + faulted {} \
                  + on-wire {}",
-                self.credits_delivered,
-                self.credits_faulted,
-                on_wire + staged
+                self.credits_delivered, self.credits_faulted, on_wire
             ))
         }
     }
@@ -1705,9 +1748,10 @@ impl Network {
     }
 
     /// Serializes the network's complete mutable state — fingerprint,
-    /// clock, RNG streams, stats, routers, NIs, channels, staged
-    /// deliveries, NACK/ack circuits, held flits, fault log, audit
-    /// counters, and activity sets — into `w`.
+    /// clock, RNG streams, stats, routers, NIs, channel rings, NACK/ack
+    /// circuits, held flits, fault log, audit counters, and the router/NI
+    /// activity sets — into `w`. The due calendar and the held set are
+    /// derived from the rings and held queues and are not written.
     ///
     /// Static topology and configuration are *not* written: restore
     /// targets a network freshly built from the same configuration, and
@@ -1746,9 +1790,6 @@ impl Network {
         }
         for ch in &self.channels {
             ch.save(w);
-        }
-        for d in &self.pending {
-            d.save(w);
         }
 
         w.put_usize(self.nack_queue.len());
@@ -1802,7 +1843,6 @@ impl Network {
         }
 
         self.router_active.save(w);
-        self.chan_active.save(w);
         self.ni_send_active.save(w);
         self.ni_delivered.save(w);
         for &upto in &self.accounted_upto {
@@ -1863,6 +1903,7 @@ impl Network {
         }
 
         self.now = r.get_u64("network now")?;
+        self.slots = Slots::at(self.now, link_latency);
         let mut rng_state = [0u64; 4];
         for word in &mut rng_state {
             *word = r.get_u64("network rng state")?;
@@ -1882,11 +1923,9 @@ impl Network {
         for ni in &mut self.nis {
             ni.load(r)?;
         }
+        let vnets = self.config.vnet_count();
         for ch in &mut self.channels {
-            *ch = Channel::load(r)?;
-        }
-        for d in &mut self.pending {
-            *d = crate::channel::Delivery::load(r)?;
+            ch.load(r, vnets)?;
         }
 
         let nacks = r.get_usize("nack queue length")?;
@@ -1911,7 +1950,13 @@ impl Network {
             let n = r.get_usize("held flit count")?;
             held.clear();
             for _ in 0..n {
-                held.push_back(snapshot::read_flit(r)?);
+                let flit = snapshot::read_flit(r)?;
+                if flit.vnet.0 as usize >= vnets {
+                    return Err(SnapshotError::Malformed {
+                        what: "held flit vnet",
+                    });
+                }
+                held.push_back(flit);
             }
         }
         let faults = r.get_usize("fault log length")?;
@@ -1964,14 +2009,35 @@ impl Network {
 
         let n = self.routers.len();
         self.router_active = ActiveSet::load(r, n)?;
-        self.chan_active = ActiveSet::load(r, self.channels.len())?;
         self.ni_send_active = ActiveSet::load(r, n)?;
         self.ni_delivered = ActiveSet::load(r, n)?;
         for upto in &mut self.accounted_upto {
             *upto = r.get_u64("accounted-upto cycle")?;
         }
 
-        // Derived accounting, recomputed from the restored components.
+        // Derived state, recomputed from the restored components: the due
+        // calendar from the ring slots (a slot's index is its arrival cycle
+        // modulo the ring depth), the held set from the held queues, then
+        // the accounting.
+        for set in self.fwd_due.iter_mut().chain(&mut self.rev_due) {
+            set.fill_empty();
+        }
+        self.held_set.fill_empty();
+        for (c, ch) in self.channels.iter().enumerate() {
+            for (slot, flit) in ch.fwd.iter().enumerate() {
+                if flit.is_some() {
+                    self.fwd_due[slot].insert(c);
+                }
+            }
+            for (slot, back) in ch.rev.iter().enumerate() {
+                if !back.is_empty() {
+                    self.rev_due[slot].insert(c);
+                }
+            }
+            if !self.held[c].is_empty() {
+                self.held_set.insert(c);
+            }
+        }
         self.modes_cache = self.routers.iter().map(|router| router.mode()).collect();
         self.mode_counts = [0; 3];
         for m in &self.modes_cache {

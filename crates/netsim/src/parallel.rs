@@ -7,41 +7,37 @@
 //! output-neutral because byte-identity holds for **any** contiguous
 //! ascending partition (see below).
 //!
-//! Each cycle runs as two barrier-separated regions on a persistent
-//! `std::thread` pool, followed by a barrier-free binomial merge tree:
+//! Each cycle runs as one region on a persistent `std::thread` pool,
+//! opened by a barrier and closed by a barrier-free binomial merge tree:
 //!
 //! * **Exclusive window** (main thread, workers parked): the previous
-//!   cycle's epilogue, serial phase 2a queue retirement (NACK/ack queues —
-//!   order-sensitive `swap_remove` scans), and publication of the cycle's
-//!   `Job` (pointers + cycle number + RNG + current plan).
-//! * **Region AB** (phases 1 + 2a-scan + 2b + 3, fused): each shard pulls
-//!   the staged deliveries incident on its own routers (phase 1), scans
-//!   its own NIs' retransmit timeouts (the sharded tail of phase 2a),
-//!   injects from its own NIs (2b), then steps its own routers (3).
-//!   Produced flits go into the forward half of the router's outgoing
-//!   channels (owned by this shard); credits/control go into the *reverse*
-//!   half of its incoming channels. The channel halves
-//!   ([`FwdLane`](crate::channel) / [`RevLane`](crate::channel)) are the
-//!   double-buffered boundary slots: exactly one shard writes each half.
-//!   Fusing 1 with 3 is safe because phase 1 reads only the `pending`
-//!   staging array (written exclusively in region C, after the barrier)
-//!   while phase 3 writes only channel-lane interiors — disjoint arrays.
-//! * **Region C** (phase 4): after one full barrier, each shard advances
-//!   its own channels, re-staging next cycle's deliveries. The barrier is
-//!   required: `advance` consumes both halves of a channel, which two
-//!   different shards may have written during region AB.
+//!   cycle's epilogue (which empties that cycle's due-calendar slots),
+//!   serial phase 2a queue retirement (NACK/ack queues — order-sensitive
+//!   `swap_remove` scans), and publication of the cycle's `Job` (pointers
+//!   + cycle number + ring slots + RNG + current plan).
+//! * **Region AB** (phases 1 + 2a-scan + 2b + 3, fused): each shard takes
+//!   this cycle's arrivals on the channels incident to its own routers
+//!   (phase 1), scans its own NIs' retransmit timeouts (the sharded tail of
+//!   phase 2a), injects from its own NIs (2b), then steps its own routers
+//!   (3). Produced flits go into the forward ring of the router's outgoing
+//!   channels, credits/control into the reverse ring of its incoming
+//!   channels. Both ends of a channel touch both of its rings, but never
+//!   the same slot: phase 1 takes slot `t mod (D + 1)` and phase 3 writes
+//!   slot `(t + D) mod (D + 1)` ([`Slots`]), so neither needs the other
+//!   to finish. Ring slots are addressed through element pointers, never
+//!   through a `&mut Channel`.
 //! * **Merge tree**: per-shard deltas fold up a binomial tree — shard `k`
 //!   merges shard `k+s` for `s = 1, 2, 4, …` while `k mod 2s == 0`,
 //!   spin-waiting on the child's generation-tagged ready flag. Shard 0's
 //!   root merge therefore transitively waits on every shard, so the main
-//!   thread needs no further barrier before the epilogue: two barriers per
+//!   thread needs no further barrier before the epilogue: one barrier per
 //!   cycle, total. Tree order concatenates shard vectors in ascending
 //!   shard order, byte-identical to the old serial shard-order fold.
 //!
 //! ## Why the output is byte-identical at any thread count
 //!
 //! Every mutation in a cycle either (a) targets state owned by exactly one
-//! shard (router, NI, channel half, staged delivery, mode-cache slot,
+//! shard (router, NI, ring slot, mode-cache slot,
 //! `accounted_upto` slot, activity bit), in which case the per-owner
 //! mutation order matches the serial walk (ascending index), or (b) is a
 //! commutative fold (counter sums, latency-distribution merges, idempotent
@@ -71,7 +67,7 @@
 //! back to the serial walk instead of burning 4× the time.
 #![allow(unsafe_code)]
 
-use crate::channel::{Channel, Delivery};
+use crate::channel::{self, Channel, ReverseSlot, Slots};
 use crate::error::SimError;
 use crate::faults::{FaultEvent, FaultEventKind, FaultIndex};
 use crate::flit::{Cycle, Flit};
@@ -184,22 +180,14 @@ struct Plan {
     shards: usize,
     /// Node range of shard `k`: `[node_start[k], node_start[k+1])`.
     node_start: Vec<usize>,
-    /// Channel range of shard `k` (channels grouped by upstream node).
-    chan_start: Vec<usize>,
     stat: Arc<PlanStatic>,
 }
 
 impl Plan {
     fn with_boundaries(stat: Arc<PlanStatic>, node_start: Vec<usize>) -> Plan {
-        let shards = node_start.len() - 1;
-        let chan_start: Vec<usize> = node_start
-            .iter()
-            .map(|&ns| stat.node_chan_start[ns])
-            .collect();
         Plan {
-            shards,
+            shards: node_start.len() - 1,
             node_start,
-            chan_start,
             stat,
         }
     }
@@ -261,7 +249,7 @@ fn shard_weights(net: &Network, stat: &PlanStatic) -> Vec<u64> {
             wt += 2;
         }
         for c in stat.node_chan_start[j]..stat.node_chan_start[j + 1] {
-            if net.chan_active.contains(c) {
+            if net.channel_live(c) {
                 wt += 1;
             }
         }
@@ -270,18 +258,11 @@ fn shard_weights(net: &Network, stat: &PlanStatic) -> Vec<u64> {
     weights
 }
 
-/// Builds the boundary vectors a fresh engine would use right now — the
+/// Builds the boundary vector a fresh engine would use right now — the
 /// test hook behind [`Network::debug_shard_plan`].
-pub(crate) fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<usize>) {
-    let stat = PlanStatic::build(net);
+pub(crate) fn plan_preview(net: &Network, threads: usize) -> Vec<usize> {
     let shards = threads.min(net.routers.len()).max(1);
-    let weights = shard_weights(net, &stat);
-    let node_start = shard_boundaries(&weights, shards);
-    let chan_start = node_start
-        .iter()
-        .map(|&ns| stat.node_chan_start[ns])
-        .collect();
-    (node_start, chan_start)
+    shard_boundaries(&shard_weights(net, &PlanStatic::build(net)), shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -301,6 +282,7 @@ pub(crate) fn plan_preview(net: &Network, threads: usize) -> (Vec<usize>, Vec<us
 struct Job {
     seq: u64,
     now: Cycle,
+    at: Slots,
     rng: SimRng,
     plan: *const Plan,
     /// The network's compiled fault index; the fast path admits only
@@ -310,14 +292,19 @@ struct Job {
     routers: *mut Box<dyn Router>,
     nis: *mut NodeInterface,
     channels: *mut Channel,
-    pending: *mut Delivery,
     ends: *const ChannelEnds,
     out_chan: *const DirMap<Option<usize>>,
     in_chan: *const DirMap<Option<usize>>,
     accounted_upto: *mut Cycle,
     modes_cache: *mut RouterMode,
     router_active: *mut u64,
-    chan_active: *mut u64,
+    /// Due-calendar words of this cycle's arrival slots (read-only during
+    /// the region; the epilogue empties them) and of this cycle's send
+    /// slots (set by phase 3).
+    fwd_arrivals: *const u64,
+    rev_arrivals: *const u64,
+    fwd_sends: *mut u64,
+    rev_sends: *mut u64,
     ni_send: *mut u64,
     ni_delivered: *mut u64,
 }
@@ -493,10 +480,6 @@ struct Shared {
     /// to `seq` before merging. Generation-tagging (instead of a reset
     /// boolean) removes any cross-cycle reset race.
     ready: Vec<CachePadded<AtomicU64>>,
-    /// `seq` of the cycle in which a shard recorded an error/panic during
-    /// region AB (stale values from earlier cycles read as clean). Gates
-    /// region C deterministically.
-    poisoned_seq: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -551,7 +534,6 @@ impl Engine {
             ready: (0..plan.shards)
                 .map(|_| CachePadded(AtomicU64::new(0)))
                 .collect(),
-            poisoned_seq: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
         let workers = (1..plan.shards)
@@ -596,8 +578,7 @@ impl Engine {
         let plan = stat.events.capacity() * size_of::<(u32, bool)>()
             + stat.ev_off.capacity() * size_of::<u32>()
             + stat.node_chan_start.capacity() * size_of::<usize>()
-            + self.plan.node_start.capacity() * size_of::<usize>()
-            + self.plan.chan_start.capacity() * size_of::<usize>();
+            + self.plan.node_start.capacity() * size_of::<usize>();
         // SAFETY: called only from the exclusive window between cycles
         // (workers parked at the start barrier), where the owning thread
         // has sole access to every delta.
@@ -649,6 +630,34 @@ unsafe fn clear_bit(words: *mut u64, i: usize) {
     AtomicU64::from_ptr(words.add(i >> 6)).fetch_and(!(1u64 << (i & 63)), Ordering::Relaxed);
 }
 
+/// # Safety
+/// `words` must cover bit `i`, with no concurrent writer of its word.
+#[inline]
+unsafe fn test_bit(words: *const u64, i: usize) -> bool {
+    *words.add(i >> 6) & (1u64 << (i & 63)) != 0
+}
+
+/// Slot `slot` of channel `c`'s forward ring, addressed without forming a
+/// reference to the channel or its ring: the two ends of a channel work on
+/// different slots of both rings within one region.
+///
+/// # Safety
+/// `c` must be a channel of the job's network and `slot` below its ring
+/// depth; no other thread may access that slot during the borrow.
+#[inline]
+unsafe fn fwd_slot<'a>(job: &Job, c: usize, slot: usize) -> &'a mut Option<Flit> {
+    &mut *addr_of_mut!((*(*job.channels.add(c)).fwd)[slot])
+}
+
+/// The reverse-ring twin of [`fwd_slot`].
+///
+/// # Safety
+/// See [`fwd_slot`].
+#[inline]
+unsafe fn rev_slot<'a>(job: &Job, c: usize, slot: usize) -> &'a mut ReverseSlot {
+    &mut *addr_of_mut!((*(*job.channels.add(c)).rev)[slot])
+}
+
 /// Walks set bits of `[lo, hi)` in ascending order from per-word snapshots
 /// (the serial engine's exact iteration discipline, masked to the shard's
 /// range). The callback returns `false` to stop early.
@@ -691,39 +700,44 @@ fn min_error(delta: &mut ShardDelta, phase: u8, index: u32, err: SimError) {
     }
 }
 
-/// Region AB: fused phases 1 (pull staged deliveries), 2a-scan (own NIs'
-/// retransmit timeouts), 2b (inject from own NIs) and 3 (step own
-/// routers, route outputs into owned channel halves).
+/// Region AB: fused phases 1 (take this cycle's arrivals), 2a-scan (own
+/// NIs' retransmit timeouts), 2b (inject from own NIs) and 3 (step own
+/// routers, push outputs into this cycle's send slots).
 ///
 /// # Safety
-/// Must run between the start and mid barriers with a valid published
-/// `Job`; only shard `shard` may call it for that shard.
+/// Must run after the start barrier with a valid published `Job`; only
+/// shard `shard` may call it for that shard.
 unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta) {
     let stat = &*plan.stat;
     let faults = &*job.faults;
     let now = job.now;
     let (lo, hi) = (plan.node_start[shard], plan.node_start[shard + 1]);
 
-    // Phase 1: every shard pulls the staged deliveries incident on its own
-    // routers — credits/control from the staging slots of its routers'
-    // outgoing channels, flits from those of its incoming channels —
-    // walking each router's incident channels in ascending channel order,
-    // which reproduces the serial engine's per-router mutation sequence
-    // exactly. Deliveries cross the *deterministic* fault plane here: a
-    // flit or credit on a permanently killed channel is eaten (the only
-    // fault kind the fast path admits — kills draw no RNG), with the event
-    // recorded in the shard delta tagged by channel index so the epilogue
-    // can replay the fault log in the serial engine's channel order.
-    // Reading `pending` here while other shards run phase 3 is race-free:
-    // phase 3 writes channel-lane interiors, never the staging array.
+    // Phase 1: every shard takes this cycle's arrivals incident on its own
+    // routers — credits/control from the reverse rings of its routers'
+    // outgoing channels, flits from the forward rings of its incoming
+    // channels — walking each router's incident channels in ascending
+    // channel order, which reproduces the serial engine's per-router
+    // mutation sequence exactly; the due calendar skips channels with
+    // nothing in this cycle's slot. Deliveries cross the *deterministic*
+    // fault plane here: a flit or credit on a permanently killed channel
+    // is eaten (the only fault kind the fast path admits — kills draw no
+    // RNG), with the event recorded in the shard delta tagged by channel
+    // index so the epilogue can replay the fault log in the serial
+    // engine's channel order. Taking this cycle's slots while other
+    // shards run phase 3 is race-free: phase 3 writes the send slots.
     for j in lo..hi {
         let router = &mut *job.routers.add(j);
         let evs = &stat.events[stat.ev_off[j] as usize..stat.ev_off[j + 1] as usize];
         for &(c32, is_fwd) in evs {
             let c = c32 as usize;
-            let pend = &*(job.pending.add(c) as *const Delivery);
             if is_fwd {
-                let Some(flit) = pend.flit else { continue };
+                if !test_bit(job.fwd_arrivals, c) {
+                    continue;
+                }
+                let Some(flit) = fwd_slot(job, c, job.at.fwd_take).take() else {
+                    continue;
+                };
                 let ends = &*job.ends.add(c);
                 if faults.link_dead(ends.from, ends.dir, now) {
                     // Deterministic fault plane: the link is dead, the flit
@@ -769,16 +783,17 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
                 set_bit(job.router_active, j);
                 router.receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
             } else {
-                if delta.error.is_some() {
+                if delta.error.is_some() || !test_bit(job.rev_arrivals, c) {
                     continue;
                 }
+                let back = rev_slot(job, c, job.at.rev_take).take();
                 let ends = &*job.ends.add(c);
                 let dir = ends.dir;
                 if faults.link_dead(ends.from, dir, now) {
                     // A dead link loses its credits too (serial
                     // `credit_lost`); control signals are sideband and
                     // still cross, keeping fault gossip alive.
-                    for _ in pend.credits() {
+                    for _ in back.credits() {
                         delta.stats.credits_lost += 1;
                         delta.stats.faults_injected += 1;
                         delta.credits_faulted += 1;
@@ -794,13 +809,13 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
                         ));
                     }
                 } else {
-                    for &credit in pend.credits() {
+                    for &credit in back.credits() {
                         delta.credits_delivered += 1;
                         set_bit(job.router_active, j);
                         router.receive_credit(PortId::Net(dir), credit, now);
                     }
                 }
-                for &signal in pend.control() {
+                for &signal in back.control() {
                     set_bit(job.router_active, j);
                     router.receive_control(PortId::Net(dir), signal, now);
                 }
@@ -867,7 +882,7 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
 }
 
 /// One router's phase-3 step (the parallel twin of the serial
-/// `Network::step_one_router`, writing into shard-owned channel halves and
+/// `Network::step_one_router`, writing into this cycle's send slots and
 /// the shard's delta instead of the global accumulators).
 unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usize) {
     let stat = &*plan.stat;
@@ -908,16 +923,15 @@ unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usi
                 );
                 return;
             };
-            set_bit(job.chan_active, chan);
-            // Forward half owned by this shard (the channel's upstream end
-            // is router `i`); the downstream shard may concurrently write
-            // the reverse half — disjoint fields, no `&mut Channel` formed.
-            (&mut *addr_of_mut!((*job.channels.add(chan)).fwd)).push_flit(flit);
+            // Router `i` is the only writer of this channel's forward send
+            // slot this cycle.
+            set_bit(job.fwd_sends, chan);
+            channel::put_flit(fwd_slot(job, chan, job.at.fwd_send), flit);
         }
         for &credit in &delta.scratch.credits[PortId::Net(dir)] {
             if let Some(chan) = (&*job.in_chan.add(i))[dir] {
-                set_bit(job.chan_active, chan);
-                (&mut *addr_of_mut!((*job.channels.add(chan)).rev)).push_credit(credit);
+                set_bit(job.rev_sends, chan);
+                rev_slot(job, chan, job.at.rev_send).push_credit(credit);
                 delta.credits_pushed += 1;
             }
         }
@@ -938,8 +952,8 @@ unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usi
     for &signal in &delta.scratch.control {
         for dir in Direction::ALL {
             if let Some(chan) = (&*job.in_chan.add(i))[dir] {
-                set_bit(job.chan_active, chan);
-                (&mut *addr_of_mut!((*job.channels.add(chan)).rev)).push_control(signal);
+                set_bit(job.rev_sends, chan);
+                rev_slot(job, chan, job.at.rev_send).push_control(signal);
             }
         }
     }
@@ -975,37 +989,11 @@ unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usi
     }
 }
 
-/// Region C: phase-4 channel advance for one shard's channels.
-///
-/// # Safety
-/// Must run after the mid barrier (both halves of every channel are
-/// settled) with a valid published `Job`; only shard `shard` may call it
-/// for that shard. Fast-path only (per-channel `held` queues are all
-/// empty — checked by the gate).
-unsafe fn region_c(job: &Job, plan: &Plan, shard: usize) {
-    walk_masked(
-        job.chan_active,
-        plan.chan_start[shard],
-        plan.chan_start[shard + 1],
-        |c| {
-            let ch = &mut *job.channels.add(c);
-            let pend = &mut *job.pending.add(c);
-            *pend = ch.advance();
-            if pend.is_empty() && ch.is_drained() {
-                clear_bit(job.chan_active, c);
-            } else {
-                set_bit(job.chan_active, c);
-            }
-            true
-        },
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Worker loop + merge tree + main-thread orchestration
 // ---------------------------------------------------------------------------
 
-fn run_guarded(shared: &Shared, shard: usize, seq: u64, f: impl FnOnce(&mut ShardDelta)) {
+fn run_guarded(shared: &Shared, shard: usize, f: impl FnOnce(&mut ShardDelta)) {
     // SAFETY: each delta is written only by its shard until the shard's
     // ready flag is set (which happens strictly after this call).
     let delta = unsafe { &mut *shared.deltas[shard].0.get() };
@@ -1016,9 +1004,6 @@ fn run_guarded(shared: &Shared, shard: usize, seq: u64, f: impl FnOnce(&mut Shar
         if delta.panic.is_none() {
             delta.panic = Some(payload);
         }
-    }
-    if delta.panic.is_some() || delta.error.is_some() {
-        shared.poisoned_seq.store(seq, Ordering::Release);
     }
 }
 
@@ -1083,18 +1068,11 @@ fn worker_loop(shared: &Shared, shard: usize) {
         // replaced in the exclusive window, when no job is in flight).
         let plan = unsafe { &*job.plan };
         let seq = job.seq;
-        run_guarded(shared, shard, seq, |d| {
+        run_guarded(shared, shard, |d| {
             d.reset();
-            // SAFETY: between the start and mid barriers, on this shard.
+            // SAFETY: after the start barrier, on this shard.
             unsafe { region_ab(job, plan, shard, d) }
         });
-        shared.barrier.wait(); // mid barrier
-        if shared.poisoned_seq.load(Ordering::Acquire) != seq {
-            run_guarded(shared, shard, seq, |_| {
-                // SAFETY: after the mid barrier, on this shard.
-                unsafe { region_c(job, plan, shard) }
-            });
-        }
         merge_subtree(shared, shard, seq);
     }
 }
@@ -1105,7 +1083,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
 /// order-sensitive `swap_remove` scans, so they stay serial; running them
 /// *before* phase 1 (instead of after, as in the serial engine) is legal
 /// because they touch only NI/queue state disjoint from phase 1's
-/// router/staging writes.
+/// router and ring-slot writes.
 fn phase_2a_queues(net: &mut Network, now: Cycle) {
     let recovery = net.config.retransmit.is_some();
     if !net.nack_queue.is_empty() {
@@ -1145,15 +1123,12 @@ fn phase_2a_queues(net: &mut Network, now: Cycle) {
 /// restored faulted run) force the serial walk.
 pub(crate) fn static_gate(net: &Network) -> bool {
     let threads = net.sim_threads().min(net.routers.len());
-    if threads < 2 {
+    if threads < 2 || !net.held_set.is_empty() {
         return false;
     }
-    let active =
-        net.router_active.popcount() + net.chan_active.popcount() + net.ni_send_active.popcount();
-    if active < net.par_min_active.saturating_mul(threads) {
-        return false;
-    }
-    !net.held.iter().any(|h| !h.is_empty())
+    let needed = net.par_min_active.saturating_mul(threads);
+    let active = net.router_active.popcount() + net.ni_send_active.popcount();
+    active >= needed || active + net.live_channel_count() >= needed
 }
 
 /// Builds the engine (plan + worker pool) for `threads` workers if it
@@ -1199,6 +1174,7 @@ fn step_cycle(
     seq: u64,
 ) -> Result<(), SimError> {
     let now = net.now;
+    let at = net.slots;
     net.parallel_cycles += 1;
 
     // Exclusive window: workers are parked at the start barrier. The
@@ -1211,6 +1187,7 @@ fn step_cycle(
         *shared.job.get() = Some(Job {
             seq,
             now,
+            at,
             rng: net.rng.clone(),
             plan: Arc::as_ptr(plan),
             faults: &net.fault_index,
@@ -1218,14 +1195,16 @@ fn step_cycle(
             routers: net.routers.as_mut_ptr(),
             nis: net.nis.as_mut_ptr(),
             channels: net.channels.as_mut_ptr(),
-            pending: net.pending.as_mut_ptr(),
             ends: net.ends.as_ptr(),
             out_chan: net.out_chan.as_ptr(),
             in_chan: net.in_chan.as_ptr(),
             accounted_upto: net.accounted_upto.as_mut_ptr(),
             modes_cache: net.modes_cache.as_mut_ptr(),
             router_active: net.router_active.words.as_mut_ptr(),
-            chan_active: net.chan_active.words.as_mut_ptr(),
+            fwd_arrivals: net.fwd_due[at.fwd_take].words.as_ptr(),
+            rev_arrivals: net.rev_due[at.rev_take].words.as_ptr(),
+            fwd_sends: net.fwd_due[at.fwd_send].words.as_mut_ptr(),
+            rev_sends: net.rev_due[at.rev_send].words.as_mut_ptr(),
             ni_send: net.ni_send_active.words.as_mut_ptr(),
             ni_delivered: net.ni_delivered.words.as_mut_ptr(),
         });
@@ -1237,20 +1216,17 @@ fn step_cycle(
         // that). Scoped so the borrow ends before the epilogue.
         let job = unsafe { (*shared.job.get()).as_ref().expect("job just published") };
         shared.barrier.wait(); // start barrier
-        run_guarded(shared, 0, seq, |d| {
+        run_guarded(shared, 0, |d| {
             d.reset();
-            // SAFETY: between the start and mid barriers, on shard 0.
+            // SAFETY: after the start barrier, on shard 0.
             unsafe { region_ab(job, plan, 0, d) }
         });
-        shared.barrier.wait(); // mid barrier
-        if shared.poisoned_seq.load(Ordering::Acquire) != seq {
-            run_guarded(shared, 0, seq, |_| {
-                // SAFETY: after the mid barrier, on shard 0.
-                unsafe { region_c(job, plan, 0) }
-            });
-        }
         merge_subtree(shared, 0, seq);
     }
+    // Every shard has taken its arrivals: empty this cycle's arrival slots
+    // of the due calendar before the next cycle's pushes land there.
+    net.fwd_due[at.fwd_take].fill_empty();
+    net.rev_due[at.rev_take].fill_empty();
 
     // Epilogue (exclusive again: the root merge waited on every shard).
     // The tree already folded all deltas into shard 0's in ascending shard
@@ -1295,10 +1271,8 @@ fn step_cycle(
     }
 
     // Serial phase 3b: corrupt arrivals join the NACK circuit, fresh acks
-    // start their trip back, unreachable-packet records are collected.
-    // Channel state (region C) and NI sideband buffers are disjoint, so
-    // running it after the regions is byte-identical to the serial
-    // placement between phases 3 and 4.
+    // start their trip back, unreachable-packet records are collected —
+    // the serial engine's placement, after phase 3.
     if !net.config.faults.is_empty() || net.config.retransmit.is_some() {
         for i in 0..net.nis.len() {
             for flit in net.nis[i].take_corrupt() {
@@ -1317,6 +1291,7 @@ fn step_cycle(
     }
 
     net.now += 1;
+    net.slots = at.next(net.config.link_latency);
     net.stats.cycles += 1;
     net.stats.cycles_backpressured += net.mode_counts[0];
     net.stats.cycles_backpressureless += net.mode_counts[1];

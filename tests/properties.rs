@@ -581,9 +581,8 @@ fn shard_boundaries_track_skewed_load() {
 
 /// `Network::debug_shard_plan` on live networks: for arbitrary mesh
 /// shapes, thread counts and activity states (driven by real traffic),
-/// the node plan partitions routers/NIs and the channel plan partitions
-/// channels, with shard channel ranges exactly following node ownership
-/// (channels are grouped by upstream node).
+/// the node plan partitions routers/NIs. Channels need no plan of their
+/// own: each end of a channel works on the slots its router owns.
 #[test]
 fn live_shard_plans_partition_routers_and_channels() {
     for case in 0..8u64 {
@@ -605,27 +604,15 @@ fn live_shard_plans_partition_routers_and_channels() {
         // and after the burst drains back to idle.
         for phase in 0..3 {
             let n = (w as usize) * (h as usize);
-            let chan_count = 2 * ((w as usize - 1) * h as usize + w as usize * (h as usize - 1));
-            let (node_start, chan_start) = sim.network.debug_shard_plan(threads);
+            let node_start = sim.network.debug_shard_plan(threads);
             let k = threads.min(n).max(1);
             assert_eq!(node_start.len(), k + 1);
-            assert_eq!(chan_start.len(), k + 1);
             assert_eq!(node_start[0], 0);
             assert_eq!(*node_start.last().unwrap(), n);
             assert!(
                 node_start.windows(2).all(|v| v[0] < v[1]),
                 "case {case} phase {phase}: node ranges must be non-empty \
                  and disjoint: {node_start:?}"
-            );
-            assert_eq!(chan_start[0], 0);
-            assert_eq!(
-                *chan_start.last().unwrap(),
-                chan_count,
-                "case {case} phase {phase}: channel plan must cover every channel"
-            );
-            assert!(
-                chan_start.windows(2).all(|v| v[0] <= v[1]),
-                "case {case} phase {phase}: channel ranges overlap: {chan_start:?}"
             );
             sim.run(120);
         }
