@@ -135,6 +135,54 @@ fn watchdog_catches_ancient_flits() {
     assert!(result.is_err(), "watchdog should have panicked");
 }
 
+/// A sharded cycle returns the same first error as the serial walk. Every
+/// node but the centre sends one flit to the opposite corner at cycle 0,
+/// so all second-hop arrivals fall in one cycle and, with a 5-cycle age
+/// bound, expire together on channels into routers of different shards.
+/// The serial walk reports the lowest erroring channel; the engine must
+/// report the same `FlitOverAge` at 2 and 4 threads.
+#[test]
+fn sharded_cycle_returns_the_serial_first_error() {
+    let first_error = |threads: usize| {
+        let config = NetworkConfig {
+            max_flit_age: 5,
+            ..NetworkConfig::paper_3x3()
+        };
+        let mut net = Network::new(config, &FifoFactory { lossy: false }, 1).expect("valid");
+        net.set_sim_threads(threads);
+        if threads > 1 {
+            net.set_full_scan(false);
+            net.set_parallel_threshold(0);
+            net.set_parallel_adaptive(false);
+        }
+        for x in 0..3 {
+            for y in 0..3 {
+                if (x, y) != (1, 1) {
+                    offer(&mut net, (x, y), (2 - x, 2 - y), 1);
+                }
+            }
+        }
+        let err = (0..100)
+            .find_map(|_| net.try_step().err())
+            .expect("the age bound must fire");
+        if threads > 1 {
+            assert!(
+                net.parallel_cycles() > 0,
+                "{threads} threads must engage the parallel engine"
+            );
+        }
+        err
+    };
+    let serial = first_error(1);
+    assert!(
+        matches!(serial, crate::error::SimError::FlitOverAge { .. }),
+        "expected an age error, got {serial:?}"
+    );
+    for threads in [2, 4] {
+        assert_eq!(first_error(threads), serial, "{threads} threads");
+    }
+}
+
 /// Router stalls drive the engine's hold-back path: a flit arriving at a
 /// stalled receiver waits at the link's end and enters the router once the
 /// stall lifts, queued arrivals drain one per cycle (the link's bandwidth),
