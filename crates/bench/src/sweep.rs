@@ -77,12 +77,84 @@ use crate::mechanisms::MechanismId;
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Per-run wall-clock records, drained by [`write_timing_report`].
-static TIMINGS: Mutex<Vec<TimingRecord>> = Mutex::new(Vec::new());
+static TIMINGS: Mutex<Timings> = Mutex::new(Timings::new());
 
+/// Most timing records kept between reports. It lies above the largest
+/// job count any `afc-bench` binary records before writing its report at
+/// its default arguments (`sweep_throughput`: `30 * max(6T, 24) + 168`
+/// jobs at `T` sweep threads, 888 at `T = 2`), so reports stay complete up
+/// to ~360 threads,
+/// while a process that never writes a report (a long benchmark loop, a
+/// library caller) stops growing here. Past the cap, records are dropped
+/// and counted in the report's header.
+const TIMING_RECORD_CAP: usize = 1 << 16;
+
+/// The timing registry: each sweep name is stored once, and at most
+/// [`TIMING_RECORD_CAP`] records are kept.
+#[derive(Debug, Default)]
+struct Timings {
+    names: Vec<String>,
+    records: Vec<TimingRecord>,
+    dropped: u64,
+}
+
+#[derive(Debug)]
 struct TimingRecord {
-    sweep: String,
+    /// Index into [`Timings::names`].
+    sweep: u32,
     run: usize,
-    micros: u128,
+    micros: u64,
+}
+
+impl Timings {
+    const fn new() -> Timings {
+        Timings {
+            names: Vec::new(),
+            records: Vec::new(),
+            dropped: 0,
+        }
+    }
+
+    fn record(&mut self, sweep: &str, run: usize, micros: u64) {
+        if self.records.len() >= TIMING_RECORD_CAP {
+            self.dropped += 1;
+            return;
+        }
+        let index = match self.names.iter().rposition(|n| n == sweep) {
+            Some(i) => i,
+            None => {
+                self.names.push(sweep.to_string());
+                self.names.len() - 1
+            }
+        };
+        self.records.push(TimingRecord {
+            sweep: index as u32,
+            run,
+            micros,
+        });
+    }
+
+    /// The report text: a header (binary, sweep threads, records dropped
+    /// at the cap), one row per record, and a total.
+    fn report(&self, binary: &str, threads: usize) -> String {
+        let total_ms = self.records.iter().map(|r| r.micros).sum::<u64>() as f64 / 1_000.0;
+        let mut out = String::new();
+        out.push_str("# per-run wall-clock; nondeterministic by nature, not part of the\n");
+        out.push_str("# byte-identical sweep results\n");
+        out.push_str(&format!("# binary\t{binary}\n# threads\t{threads}\n"));
+        out.push_str(&format!("# records dropped\t{}\n", self.dropped));
+        out.push_str("sweep\trun\tmillis\n");
+        for r in &self.records {
+            out.push_str(&format!(
+                "{}\t{}\t{:.3}\n",
+                self.names[r.sweep as usize],
+                r.run,
+                r.micros as f64 / 1_000.0
+            ));
+        }
+        out.push_str(&format!("total\t{}\t{total_ms:.3}\n", self.records.len()));
+        out
+    }
 }
 
 /// Structured errors from the sweep engine's argument parsing, manifest
@@ -474,16 +546,12 @@ where
 
 /// Locks the timing registry, recovering from a poisoned lock: a panicking
 /// sweep job may cost its own timing record, never the whole report.
-fn timings() -> std::sync::MutexGuard<'static, Vec<TimingRecord>> {
+fn timings() -> std::sync::MutexGuard<'static, Timings> {
     TIMINGS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn record_timing(sweep: &str, run: usize, micros: u128) {
-    timings().push(TimingRecord {
-        sweep: sweep.to_string(),
-        run,
-        micros,
-    });
+    timings().record(sweep, run, micros as u64);
 }
 
 /// Atomically replaces `path` with `contents`: write a sibling temp file,
@@ -575,22 +643,7 @@ pub fn write_timing_report_in(results_root: &Path, binary: &str) -> std::io::Res
     std::fs::create_dir_all(&dir)?;
     rotate_timing_reports(&dir, binary)?;
     let path = dir.join(format!("{binary}.tsv"));
-    let records = std::mem::take(&mut *timings());
-    let total_ms = records.iter().map(|r| r.micros).sum::<u128>() as f64 / 1_000.0;
-    let mut out = String::new();
-    out.push_str("# per-run wall-clock; nondeterministic by nature, not part of the\n");
-    out.push_str("# byte-identical sweep results\n");
-    out.push_str(&format!("# binary\t{binary}\n# threads\t{}\n", threads()));
-    out.push_str("sweep\trun\tmillis\n");
-    for r in &records {
-        out.push_str(&format!(
-            "{}\t{}\t{:.3}\n",
-            r.sweep,
-            r.run,
-            r.micros as f64 / 1_000.0
-        ));
-    }
-    out.push_str(&format!("total\t{}\t{total_ms:.3}\n", records.len()));
+    let out = std::mem::take(&mut *timings()).report(binary, threads());
     write_atomic_io(&path, out.as_bytes())?;
     Ok(path)
 }
@@ -1679,11 +1732,7 @@ mod tests {
         // KEEP + 3 writes: the oldest two generations must fall off disk.
         let total = TIMING_REPORT_KEEP + 3;
         for g in 0..total {
-            timings().push(TimingRecord {
-                sweep: format!("gen-{g}"),
-                run: g,
-                micros: 1,
-            });
+            record_timing(&format!("gen-{g}"), g, 1);
             write_timing_report_in(&root, binary).expect("write report");
         }
         let dir = root.join("timing");
@@ -1712,6 +1761,24 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The registry that every sweep job records into stays bounded
+    /// however many jobs a process runs without writing a report: names
+    /// are stored once per sweep, records stop at the cap, and the report
+    /// header counts the dropped ones.
+    #[test]
+    fn timing_registry_stays_bounded() {
+        let mut t = Timings::new();
+        for i in 0..TIMING_RECORD_CAP + 100 {
+            t.record(if i % 2 == 0 { "even" } else { "odd" }, i, 1);
+        }
+        assert_eq!(t.records.len(), TIMING_RECORD_CAP);
+        assert_eq!(t.dropped, 100);
+        assert_eq!(t.names, ["even", "odd"]);
+        let report = t.report("bounded", 2);
+        assert!(report.contains("# records dropped\t100\n"), "{report}");
+        assert!(report.contains(&format!("total\t{TIMING_RECORD_CAP}\t")));
     }
 
     #[test]

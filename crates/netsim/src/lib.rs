@@ -60,6 +60,7 @@
 pub mod channel;
 pub mod config;
 pub mod counters;
+pub(crate) mod cycle;
 pub mod error;
 pub mod fault_aware;
 pub mod faults;

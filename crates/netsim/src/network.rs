@@ -14,13 +14,14 @@
 //! so the mode can be toggled mid-run and must produce byte-identical
 //! results — the self-check the golden tests pin.
 
-use crate::channel::{Channel, Slots};
+use crate::channel::{Channel, ReverseSlot, Slots};
 use crate::config::NetworkConfig;
 use crate::counters::ActivityCounters;
+use crate::cycle::{self, Bits, Cx, Node, Tally, View};
 use crate::error::SimError;
 use crate::faults::{FaultEvent, FaultEventKind, FaultIndex, FlitFate, LinkEvent};
 use crate::flit::{Cycle, Flit, PacketId};
-use crate::geom::{DirMap, Direction, NodeId, PortId};
+use crate::geom::{DirMap, Direction, NodeId};
 use crate::ni::{NodeInterface, UnreachablePacket};
 use crate::packet::{DeliveredPacket, PacketDescriptor, PacketInput};
 use crate::rng::SimRng;
@@ -61,14 +62,8 @@ impl ActiveSet {
     }
 
     fn full(len: usize) -> ActiveSet {
-        let mut set = ActiveSet {
-            words: vec![!0u64; len.div_ceil(64)],
-        };
-        if !len.is_multiple_of(64) {
-            if let Some(last) = set.words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
+        let mut set = ActiveSet::empty(len);
+        set.fill_full(len);
         set
     }
 
@@ -87,11 +82,8 @@ impl ActiveSet {
     /// the set was built for.
     fn fill_full(&mut self, len: usize) {
         debug_assert_eq!(self.words.len(), len.div_ceil(64));
-        self.words.fill(!0u64);
-        if !len.is_multiple_of(64) {
-            if let Some(last) = self.words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            *word = all_below(len, wi);
         }
     }
 
@@ -157,6 +149,14 @@ impl ActiveSet {
             }
         }
         Ok(ActiveSet { words })
+    }
+}
+
+/// Word `wi` of a bitmask holding every member below `len`.
+fn all_below(len: usize, wi: usize) -> u64 {
+    match len.saturating_sub(wi << 6) {
+        64.. => !0,
+        rest => (1u64 << rest) - 1,
     }
 }
 
@@ -285,20 +285,6 @@ pub struct PhaseProfile {
     pub cycles: u64,
 }
 
-/// Advances a lap timer: returns nanoseconds since the previous lap and
-/// restarts it. A `None` timer (profiling disabled) costs one branch.
-#[inline]
-fn lap_ns(lap: &mut Option<std::time::Instant>) -> u64 {
-    match lap.as_mut() {
-        Some(t) => {
-            let ns = t.elapsed().as_nanos() as u64;
-            *t = std::time::Instant::now();
-            ns
-        }
-        None => 0,
-    }
-}
-
 /// A complete simulated network: routers, channels and network interfaces.
 ///
 /// Construct via [`Network::new`] with a [`RouterFactory`] selecting the
@@ -329,7 +315,10 @@ pub struct Network {
     fault_rng: SimRng,
     pub(crate) stats: NetworkStats,
     next_packet_id: u64,
-    scratch: RouterOutputs,
+    /// Router outputs scratch of the serial walk; boxed so the walk can
+    /// take it out of the network (which it passes to the kernels) by
+    /// moving a pointer.
+    scratch: Option<Box<RouterOutputs>>,
     /// Dropped flits in flight on the modeled NACK circuit:
     /// `(retransmission-ready cycle, flit)`.
     pub(crate) nack_queue: Vec<(Cycle, Flit)>,
@@ -357,11 +346,10 @@ pub struct Network {
     /// Run-wide log of packets retired as unreachable (bounded retransmit
     /// exhausted) — the structured per-packet outcome of DESIGN.md §13.
     pub(crate) unreachable_packets: Vec<UnreachablePacket>,
-    /// Credit-conservation audit (raw, never reset): credits pushed onto
-    /// reverse lanes, credits delivered upstream, credits lost to faults.
-    pub(crate) credits_pushed: u64,
-    pub(crate) credits_delivered: u64,
-    pub(crate) credits_faulted: u64,
+    /// Credit audit, in-flight and retransmit-queue counts, mode residency
+    /// counts and the NI high-water max, maintained incrementally by the
+    /// phase kernels.
+    pub(crate) tally: Tally,
     /// Stall watchdog: progress counter sample and the cycle it last moved.
     pub(crate) last_progress: u64,
     pub(crate) last_progress_cycle: Cycle,
@@ -390,19 +378,9 @@ pub struct Network {
     /// router `i` reflect cycles `[reset, accounted_upto[i])`; the gap to
     /// `now` is idle cycles pending bulk replay.
     pub(crate) accounted_upto: Vec<Cycle>,
-    /// Cached post-step router modes plus residency counts (indexed by
-    /// [`Network::mode_slot`]) so per-cycle mode stats are O(1), not O(n).
+    /// Cached post-step router modes (their residency counts are in
+    /// [`Tally::mode_counts`]) so per-cycle mode stats are O(1), not O(n).
     pub(crate) modes_cache: Vec<RouterMode>,
-    pub(crate) mode_counts: [u64; 3],
-    /// Flits inside routers/channels/held, maintained incrementally
-    /// (cross-checked against [`Network::flits_in_network`] in debug).
-    pub(crate) in_flight: usize,
-    /// Flits sitting in NI retransmit queues, maintained incrementally.
-    pub(crate) retx_queued: usize,
-    /// Monotone max over NIs of their reassembly high-water marks; each NI
-    /// mark is itself monotone, so this equals the per-cycle max scan the
-    /// engine used to perform.
-    pub(crate) ni_high_water_max: usize,
     /// Debug-build cross-checking of the incremental accounting against a
     /// from-scratch recount. Disabled only by tests that install
     /// deliberately conservation-violating routers.
@@ -529,9 +507,9 @@ impl Network {
         let fault_index = FaultIndex::new(&config.faults, &mesh);
         let detect_schedule = fault_index.event_schedule(config.faults.detection_delay);
         let modes_cache: Vec<RouterMode> = routers.iter().map(|r| r.mode()).collect();
-        let mut mode_counts = [0u64; 3];
+        let mut tally = Tally::default();
         for m in &modes_cache {
-            mode_counts[Self::mode_slot(*m)] += 1;
+            tally.mode_counts[Self::mode_slot(*m)] += 1;
         }
         let chan_count = channels.len();
         let (fwd_depth, rev_depth) = crate::channel::ring_depths(config.link_latency);
@@ -558,7 +536,7 @@ impl Network {
             fault_index,
             stats: NetworkStats::new(),
             next_packet_id: 0,
-            scratch: RouterOutputs::new(),
+            scratch: Some(Box::default()),
             nack_queue: Vec::new(),
             ack_queue: Vec::new(),
             held,
@@ -567,9 +545,7 @@ impl Network {
             detect_schedule,
             detect_next: 0,
             unreachable_packets: Vec::new(),
-            credits_pushed: 0,
-            credits_delivered: 0,
-            credits_faulted: 0,
+            tally,
             last_progress: 0,
             last_progress_cycle: 0,
             audit_baseline: 0,
@@ -585,10 +561,6 @@ impl Network {
             ni_delivered: ActiveSet::empty(n),
             accounted_upto: vec![0; n],
             modes_cache,
-            mode_counts,
-            in_flight: 0,
-            retx_queued: 0,
-            ni_high_water_max: 0,
             check_conservation: true,
             sim_threads,
             engines: Vec::new(),
@@ -785,7 +757,10 @@ impl Network {
             + self.fault_index.heap_bytes();
         let engine_bytes = self.engines.iter().map(|e| e.heap_bytes()).sum();
         let other_bytes = self.stats.heap_bytes()
-            + self.scratch.heap_bytes()
+            + self
+                .scratch
+                .as_ref()
+                .map_or(0, |s| size_of::<RouterOutputs>() + s.heap_bytes())
             + (self.out_chan.capacity() + self.in_chan.capacity())
                 * size_of::<DirMap<Option<usize>>>()
             + self.nack_queue.capacity() * size_of::<(Cycle, Flit)>()
@@ -824,14 +799,20 @@ impl Network {
 
     /// True when this step may take the activity-tracked fast path.
     ///
-    /// A *probabilistic* fault plane forces the full walk: its per-channel
-    /// RNG draws depend on visiting every channel every cycle. Deterministic
-    /// plans (permanent kills only — [`FaultPlan::is_deterministic`]
-    /// (crate::faults::FaultPlan::is_deterministic)) draw no randomness and
-    /// only act on channels actually carrying traffic, so activity tracking
-    /// remains exact. The retransmit layer is fast-path-safe: timeouts are
-    /// scanned every cycle regardless, and re-materialized copies re-mark
-    /// their NI in the send set.
+    /// A *probabilistic* fault plane forces the full walk, for two reasons.
+    /// The fast walks do not model router stalls exactly: a stalled router
+    /// outside the activity sets is never visited, so its stalled cycles
+    /// are later replayed as idle ones, which the full scan never counts.
+    /// And the sharded phase 1
+    /// of the parallel engine walks arrivals in per-router order, not in
+    /// the global ascending channel order that `flit_fate` and
+    /// `credit_lost` draw from the fault RNG in. Both walks draw only for
+    /// arriving flits and credits, so deterministic plans (kills and
+    /// revivals only — `FaultPlan::is_deterministic`), which draw nothing
+    /// and stall no router, keep activity tracking exact. The retransmit
+    /// layer is fast-path-safe: timeouts are scanned every cycle
+    /// regardless, and re-materialized copies re-mark their NI in the send
+    /// set.
     fn fast_path(&self) -> bool {
         !self.full_scan && (self.config.faults.is_empty() || self.config.faults.is_deterministic())
     }
@@ -903,27 +884,82 @@ impl Network {
     /// when a flit exceeds `max_flit_age`; [`SimError::Misrouted`] /
     /// [`SimError::ProtocolViolation`] on router bugs.
     pub fn try_step(&mut self) -> Result<(), SimError> {
-        let now = self.now;
-        let faults_active = !self.config.faults.is_empty();
-        let fast = self.fast_path();
-        let at = self.slots;
-        debug_assert_eq!(at, Slots::at(now, self.config.link_latency));
         let mut lap = self.phase_profile.is_some().then(std::time::Instant::now);
+        self.detect_link_events();
 
-        // Phase 0: deterministic fault/repair detection. Each alive-state
-        // transition of a link is reported a fixed number of cycles after
-        // it happens (the plan's detection delay — modeling a local
-        // credit/progress timeout without any wall clock). Kills go to the
-        // upstream router only; revivals go to *both* endpoints at the
-        // same cycle so the downstream end can run its half of the credit
-        // re-sync handshake (DESIGN.md §15) — the gossiped duplicate the
-        // downstream would otherwise relearn later is rejected by the
-        // epoch filter. Runs before the parallel gate so both engines
-        // share one dispatch path.
-        while self.detect_next < self.detect_schedule.len()
-            && self.detect_schedule[self.detect_next].detect_at <= now
+        // Intra-run parallel engine (DESIGN.md §12): only on the fast path
+        // and only when enough components are active to amortize the
+        // per-cycle barrier cost. Gated cycles are then routed by the
+        // adaptive probe/commit controller, which picks a *thread count*
+        // — serial, 2, or the full budget — and commits to the fastest;
+        // any choice is legal because every engine configuration is
+        // byte-identical. A probe cycle is timed from here to the end of
+        // the cycle, on either engine.
+        let (mut threads, mut probe) = (1, None);
+        if self.sim_threads > 1 && self.fast_path() && crate::parallel::static_gate(self) {
+            let timed;
+            (threads, timed) = self.par_gate.decide();
+            if timed {
+                if threads > 1 {
+                    // Thread-pool spawn must not be charged to the probe.
+                    crate::parallel::ensure_engine_for(self, threads);
+                }
+                probe = Some(std::time::Instant::now());
+            }
+        }
+        self.charge(&mut lap, |p| &mut p.other_ns);
+
+        self.retire_queues();
+        self.charge(&mut lap, |p| &mut p.ni_ns);
+        if threads > 1 {
+            crate::parallel::step_parallel_with(self, threads)?;
+            self.charge(&mut lap, |p| &mut p.merge_ns);
+        } else {
+            self.serial_phases(&mut lap)?;
+        }
+        self.collect_ni_returns();
+        self.charge(&mut lap, |p| &mut p.ni_ns);
+        let result = self.end_cycle();
+        if let Some(t0) = probe {
+            self.par_gate
+                .feedback(threads, t0.elapsed().as_nanos() as f64);
+        }
+        self.charge(&mut lap, |p| &mut p.other_ns);
+        if let Some(p) = self.phase_profile.as_deref_mut() {
+            p.cycles += 1;
+        }
+        result
+    }
+
+    /// Charges the time since the previous lap to one phase of the
+    /// profile and restarts the lap (one branch unless profiling is on).
+    #[inline]
+    fn charge(
+        &mut self,
+        lap: &mut Option<std::time::Instant>,
+        phase: fn(&mut PhaseProfile) -> &mut u64,
+    ) {
+        if let (Some(p), Some(t)) = (self.phase_profile.as_deref_mut(), lap.as_mut()) {
+            *phase(p) += t.elapsed().as_nanos() as u64;
+            *t = std::time::Instant::now();
+        }
+    }
+
+    /// Phase 0: deterministic fault/repair detection. Each alive-state
+    /// transition of a link is reported a fixed number of cycles after it
+    /// happens (the plan's detection delay — modeling a local
+    /// credit/progress timeout without any wall clock). Kills go to the
+    /// upstream router only; revivals go to *both* endpoints at the same
+    /// cycle so the downstream end can run its half of the credit re-sync
+    /// handshake (DESIGN.md §15) — the gossiped duplicate the downstream
+    /// would otherwise relearn later is rejected by the epoch filter.
+    fn detect_link_events(&mut self) {
+        let now = self.now;
+        while let Some(&ev) = self
+            .detect_schedule
+            .get(self.detect_next)
+            .filter(|ev| ev.detect_at <= now)
         {
-            let ev = self.detect_schedule[self.detect_next];
             self.detect_next += 1;
             self.routers[ev.node.index()].note_link_event(ev.node, ev.dir, ev.epoch, ev.alive, now);
             self.router_active.insert(ev.node.index());
@@ -941,222 +977,195 @@ impl Network {
                     .record(self.config.faults.detection_delay);
             }
         }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.other_ns += lap_ns(&mut lap);
-        }
+    }
 
-        // Intra-run parallel engine (DESIGN.md §12): only on the fast path
-        // (the fault plane and recovery layer are inherently sequential),
-        // and only when enough components are active to amortize the
-        // per-cycle barrier cost. Gated cycles are then routed by the
-        // adaptive probe/commit controller, which picks a *thread count*
-        // — serial, 2, or the full budget — and commits to the fastest;
-        // any choice is legal because every engine configuration is
-        // byte-identical. Probe cycles time the chosen engine; a serial
-        // probe is timed to the end of this function (the `serial_probe`
-        // tail below).
-        let mut serial_probe: Option<std::time::Instant> = None;
-        if self.sim_threads > 1 && fast && crate::parallel::static_gate(self) {
-            let (threads, timed) = self.par_gate.decide();
-            if threads > 1 {
-                if let Some(p) = self.phase_profile.as_deref_mut() {
-                    p.other_ns += lap_ns(&mut lap);
+    /// Head of phase 2a: NACKs that have reached their source become
+    /// pending retransmissions and end-to-end acks retire outstanding
+    /// packets. Both retire queue entries with order-sensitive
+    /// `swap_remove` scans, so they run serially, before phase 1; that is
+    /// legal because they touch only NI and queue state, disjoint from
+    /// phase 1's router and ring-slot writes.
+    fn retire_queues(&mut self) {
+        let now = self.now;
+        let recovery = self.config.retransmit.is_some();
+        let mut i = 0;
+        while i < self.nack_queue.len() {
+            if self.nack_queue[i].0 <= now {
+                let (_, flit) = self.nack_queue.swap_remove(i);
+                let src = flit.src.index();
+                self.nis[src].nack(flit, now, &mut self.stats);
+                if !recovery {
+                    // Without end-to-end recovery a NACK requeues the flit
+                    // directly; with it the copy is absorbed and the
+                    // timeout path re-materializes the packet.
+                    self.tally.retx_queued += 1;
                 }
-                if timed || lap.is_some() {
-                    // Thread-pool spawn must not be charged to the probe.
-                    crate::parallel::ensure_engine_for(self, threads);
-                    let t0 = std::time::Instant::now();
-                    let result = crate::parallel::step_parallel_with(self, threads);
-                    let ns = t0.elapsed().as_nanos() as f64;
-                    if timed {
-                        self.par_gate.feedback(threads, ns);
-                    }
-                    if let Some(p) = self.phase_profile.as_deref_mut() {
-                        p.merge_ns += ns as u64;
-                        p.cycles += 1;
-                    }
-                    return result;
-                }
-                return crate::parallel::step_parallel_with(self, threads);
-            }
-            if timed {
-                serial_probe = Some(std::time::Instant::now());
+                self.ni_send_active.insert(src);
+            } else {
+                i += 1;
             }
         }
+        let mut i = 0;
+        while i < self.ack_queue.len() {
+            if self.ack_queue[i].0 <= now {
+                let (_, src, id) = self.ack_queue.swap_remove(i);
+                self.nis[src.index()].acknowledge(id, &mut self.stats);
+            } else {
+                i += 1;
+            }
+        }
+    }
 
-        // Phase 1: deliver this cycle's channel arrivals — the channels
-        // due in this cycle's ring slots plus those holding flits back, in
-        // ascending channel order. Arriving flits pass through the fault
-        // plane (drop/corrupt/kill) and are held back while the receiving
-        // router is stalled; credits cross the fault plane's credit-loss
-        // stage on their way upstream.
-        let (fwd_due, rev_due) = (at.fwd_take, at.rev_take);
-        if fast {
-            for wi in 0..self.held_set.word_count() {
-                let flits = std::mem::take(&mut self.fwd_due[fwd_due].words[wi]);
-                let backs = std::mem::take(&mut self.rev_due[rev_due].words[wi]);
-                let mut w = flits | backs | self.held_set.word(wi);
-                while w != 0 {
-                    let bit = w & w.wrapping_neg();
-                    w ^= bit;
-                    let c = (wi << 6) + bit.trailing_zeros() as usize;
-                    let (flit, back) = (flits & bit != 0, backs & bit != 0);
-                    self.deliver_channel(c, at, now, faults_active, flit, back)?;
-                }
-            }
-        } else {
-            self.fwd_due[fwd_due].fill_empty();
-            self.rev_due[rev_due].fill_empty();
-            for c in 0..self.channels.len() {
-                self.deliver_channel(c, at, now, faults_active, true, true)?;
-            }
-        }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.channel_ns += lap_ns(&mut lap);
-        }
+    /// The serial schedule of phases 1–3. Phase 1 walks the channels due
+    /// in this cycle's ring slots plus those holding flits back, in
+    /// ascending channel order (the fault RNG draws and router stalls
+    /// depend on that order). The NI and router walks follow, masked by
+    /// the activity sets. The full scan is the same walk with every due
+    /// word and set filled.
+    fn serial_phases(&mut self, lap: &mut Option<std::time::Instant>) -> Result<(), SimError> {
+        let (now, at) = (self.now, self.slots);
+        debug_assert_eq!(at, Slots::at(now, self.config.link_latency));
+        let fast = self.fast_path();
+        let stalled = |net: &Network, i: usize| {
+            !net.config.faults.is_empty() && net.config.faults.router_stalled(NodeId::new(i), now)
+        };
 
-        // Phase 2a: NACKs that have reached their source become pending
-        // retransmissions; end-to-end acks retire outstanding packets; NI
-        // retransmit timeouts fire.
-        if !self.nack_queue.is_empty() {
-            let recovery = self.config.retransmit.is_some();
-            let mut i = 0;
-            while i < self.nack_queue.len() {
-                if self.nack_queue[i].0 <= now {
-                    let (_, flit) = self.nack_queue.swap_remove(i);
-                    let src = flit.src.index();
-                    self.nis[src].nack(flit, now, &mut self.stats);
-                    if !recovery {
-                        // Without end-to-end recovery a NACK requeues the
-                        // flit directly; with it the copy is absorbed and
-                        // the timeout path re-materializes the packet.
-                        self.retx_queued += 1;
-                    }
-                    self.ni_send_active.insert(src);
-                } else {
-                    i += 1;
+        for wi in 0..self.held_set.word_count() {
+            let mut flits = std::mem::take(&mut self.fwd_due[at.fwd_take].words[wi]);
+            let mut backs = std::mem::take(&mut self.rev_due[at.rev_take].words[wi]);
+            if !fast {
+                flits = all_below(self.channels.len(), wi);
+                backs = flits;
+            }
+            let held = self.held_set.word(wi);
+            let mut w = flits | backs | held;
+            while w != 0 {
+                let bit = w & w.wrapping_neg();
+                w ^= bit;
+                let c = (wi << 6) + bit.trailing_zeros() as usize;
+                if backs & bit != 0 {
+                    cycle::back_arrival(self, c);
+                }
+                if (flits | held) & bit != 0 {
+                    cycle::flit_arrival(self, c, flits & bit != 0)?;
                 }
             }
         }
-        if !self.ack_queue.is_empty() {
-            let mut i = 0;
-            while i < self.ack_queue.len() {
-                if self.ack_queue[i].0 <= now {
-                    let (_, src, id) = self.ack_queue.swap_remove(i);
-                    self.nis[src.index()].acknowledge(id, &mut self.stats);
-                } else {
-                    i += 1;
-                }
-            }
-        }
+        self.charge(lap, |p| &mut p.channel_ns);
+
         if self.config.retransmit.is_some() {
-            let copies0 = self.stats.flits_retransmit_copies;
-            let abandoned0 = self.stats.flits_abandoned;
             for i in 0..self.nis.len() {
-                let c0 = self.stats.flits_retransmit_copies;
-                self.nis[i].check_timeouts(now, &mut self.stats);
-                if self.stats.flits_retransmit_copies > c0 {
-                    // Re-materialized copies must be visible to the fast
-                    // path's masked injection walk.
-                    self.ni_send_active.insert(i);
-                }
+                cycle::retransmit_timeouts(self, i);
             }
-            self.retx_queued += (self.stats.flits_retransmit_copies - copies0) as usize;
-            // Copies purged when a packet was given up never inject.
-            self.retx_queued -= (self.stats.flits_abandoned - abandoned0) as usize;
         }
+        // Stalled routers accept no injection.
+        self.walk(
+            fast,
+            |net| &net.ni_send_active,
+            |net, i| {
+                if !stalled(net, i) {
+                    cycle::inject(net, i);
+                }
+                Ok(())
+            },
+        )?;
+        self.charge(lap, |p| &mut p.ni_ns);
 
-        // Phase 2b: injection attempts (stalled routers accept nothing).
-        if fast {
-            for wi in 0..self.ni_send_active.word_count() {
-                let mut w = self.ni_send_active.word(wi);
-                while w != 0 {
-                    let i = (wi << 6) + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.inject_at(i, now);
-                }
-            }
-        } else {
-            for i in 0..self.nis.len() {
-                if faults_active && self.config.faults.router_stalled(NodeId::new(i), now) {
-                    continue;
-                }
-                self.inject_at(i, now);
-            }
-        }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.ni_ns += lap_ns(&mut lap);
-        }
-
-        // Phase 3: router pipeline steps (stalled routers skip their step
-        // but still accrue mode residency via the cached mode counts).
-        if fast {
-            for wi in 0..self.router_active.word_count() {
-                let mut w = self.router_active.word(wi);
-                while w != 0 {
-                    let i = (wi << 6) + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.step_one_router(i, at, now)?;
-                }
-            }
-        } else {
-            for i in 0..self.routers.len() {
-                if faults_active && self.config.faults.router_stalled(NodeId::new(i), now) {
+        // Stalled routers skip their step but still accrue mode residency
+        // via the cached mode counts.
+        let mut out = self.scratch.take().unwrap_or_default();
+        let result = self.walk(
+            fast,
+            |net| &net.router_active,
+            |net, i| {
+                if stalled(net, i) {
                     // The stalled cycle is never accounted in the router's
-                    // counters (matching the historical engine), so mark it
-                    // handled without replaying it as idle.
-                    self.accounted_upto[i] = now + 1;
-                    continue;
+                    // counters, so mark it handled without replaying it as idle.
+                    net.accounted_upto[i] = now + 1;
+                    Ok(())
+                } else {
+                    cycle::step_router(net, i, &mut out)
                 }
-                self.step_one_router(i, at, now)?;
+            },
+        );
+        self.scratch = Some(out);
+        self.charge(lap, |p| &mut p.router_ns);
+        result
+    }
+
+    /// Runs `f` over the members of an activity set in ascending order,
+    /// from per-word snapshots — or, off the fast path, over every node.
+    fn walk(
+        &mut self,
+        fast: bool,
+        set: fn(&Network) -> &ActiveSet,
+        mut f: impl FnMut(&mut Network, usize) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        for wi in 0..set(self).word_count() {
+            let mut w = if fast {
+                set(self).word(wi)
+            } else {
+                all_below(self.routers.len(), wi)
+            };
+            while w != 0 {
+                let i = (wi << 6) + w.trailing_zeros() as usize;
+                w &= w - 1;
+                f(self, i)?;
             }
         }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.router_ns += lap_ns(&mut lap);
-        }
+        Ok(())
+    }
 
-        // Phase 3b: corrupt arrivals join the NACK circuit; fresh end-to-end
-        // acks start their trip back to the source. Corrupt flits exist only
-        // under the fault plane and acks only under recovery, so the phase
-        // is provably a no-op otherwise.
-        if faults_active || self.config.retransmit.is_some() {
-            for i in 0..self.nis.len() {
-                for flit in self.nis[i].take_corrupt() {
-                    let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
-                    let ready = now + dist * self.config.link_latency + 2;
-                    self.nack_queue.push((ready, flit));
-                }
-                for (src, id) in self.nis[i].take_acks() {
-                    let dist = self.mesh.distance(NodeId::new(i), src) as u64;
-                    let ready = now + dist * self.config.link_latency;
-                    self.ack_queue.push((ready, src, id));
-                }
-                self.nis[i].drain_unreachable_into(&mut self.unreachable_packets);
+    /// Phase 3b: corrupt arrivals join the NACK circuit; fresh end-to-end
+    /// acks start their trip back to the source; unreachable-packet
+    /// records are collected. Corrupt flits exist only under the fault
+    /// plane and acks only under recovery, so the phase is provably a
+    /// no-op otherwise.
+    fn collect_ni_returns(&mut self) {
+        if self.config.faults.is_empty() && self.config.retransmit.is_none() {
+            return;
+        }
+        let (now, latency) = (self.now, self.config.link_latency);
+        for i in 0..self.nis.len() {
+            let node = NodeId::new(i);
+            for flit in self.nis[i].take_corrupt() {
+                let dist = self.mesh.distance(node, flit.src) as u64;
+                self.nack_queue.push((now + dist * latency + 2, flit));
             }
-            self.cap_unreachable_log();
+            for (src, id) in self.nis[i].take_acks() {
+                let dist = self.mesh.distance(node, src) as u64;
+                self.ack_queue.push((now + dist * latency, src, id));
+            }
+            self.nis[i].drain_unreachable_into(&mut self.unreachable_packets);
         }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.ni_ns += lap_ns(&mut lap);
-        }
+        self.cap_unreachable_log();
+    }
 
+    /// The end of a cycle: advance the clock and the ring slots, accrue
+    /// mode residency and the reassembly high water, cross-check the
+    /// incremental accounting (debug builds) and run the stall watchdog.
+    fn end_cycle(&mut self) -> Result<(), SimError> {
         self.now += 1;
-        self.slots = at.next(self.config.link_latency);
+        self.slots = self.slots.next(self.config.link_latency);
+        let modes = self.tally.mode_counts;
         self.stats.cycles += 1;
-        self.stats.cycles_backpressured += self.mode_counts[0];
-        self.stats.cycles_backpressureless += self.mode_counts[1];
-        self.stats.cycles_transitioning += self.mode_counts[2];
-        self.stats.reassembly_high_water =
-            self.stats.reassembly_high_water.max(self.ni_high_water_max);
+        self.stats.cycles_backpressured += modes[0] as u64;
+        self.stats.cycles_backpressureless += modes[1] as u64;
+        self.stats.cycles_transitioning += modes[2] as u64;
+        self.stats.reassembly_high_water = self
+            .stats
+            .reassembly_high_water
+            .max(self.tally.ni_high_water_max);
 
         #[cfg(debug_assertions)]
         if self.check_conservation {
             debug_assert_eq!(
-                self.in_flight,
+                self.tally.in_flight as usize,
                 self.flits_in_network(),
                 "incremental in-flight accounting diverged"
             );
             debug_assert_eq!(
-                self.retx_queued,
+                self.tally.retx_queued as usize,
                 self.nis
                     .iter()
                     .map(NodeInterface::pending_retransmits)
@@ -1189,232 +1198,6 @@ impl Network {
                     per_router_occupancy: self.routers.iter().map(|r| r.occupancy()).collect(),
                 });
             }
-        }
-        if let Some(t0) = serial_probe {
-            self.par_gate.feedback(1, t0.elapsed().as_nanos() as f64);
-        }
-        if let Some(p) = self.phase_profile.as_deref_mut() {
-            p.other_ns += lap_ns(&mut lap);
-            p.cycles += 1;
-        }
-        Ok(())
-    }
-
-    /// Phase-1 body for one channel: take what arrives in this cycle's
-    /// ring slots (and any held-back flit) into the adjacent routers.
-    /// `flit_due`/`back_due` say which ring may hold an arrival (the due
-    /// calendar's bits; both `true` on the full scan), so a lane with
-    /// nothing due is not touched.
-    fn deliver_channel(
-        &mut self,
-        c: usize,
-        at: Slots,
-        now: Cycle,
-        faults_active: bool,
-        flit_due: bool,
-        back_due: bool,
-    ) -> Result<(), SimError> {
-        let ends = self.ends[c];
-        let arrived = if flit_due {
-            self.channels[c].take_flit(at)
-        } else {
-            None
-        };
-        if back_due {
-            let back = self.channels[c].take_reverse(at);
-            for &credit in back.credits() {
-                if faults_active
-                    && self
-                        .fault_index
-                        .credit_lost(ends.from, ends.dir, now, &mut self.fault_rng)
-                {
-                    self.stats.credits_lost += 1;
-                    self.stats.faults_injected += 1;
-                    self.credits_faulted += 1;
-                    self.log_fault(FaultEvent {
-                        cycle: now,
-                        from: ends.from,
-                        dir: ends.dir,
-                        kind: FaultEventKind::CreditLost,
-                    });
-                    continue;
-                }
-                self.credits_delivered += 1;
-                self.router_active.insert(ends.from.index());
-                self.routers[ends.from.index()].receive_credit(PortId::Net(ends.dir), credit, now);
-            }
-            for &signal in back.control() {
-                self.router_active.insert(ends.from.index());
-                self.routers[ends.from.index()].receive_control(PortId::Net(ends.dir), signal, now);
-            }
-        }
-        let stalled = faults_active && self.config.faults.router_stalled(ends.to, now);
-        let next = if stalled || self.held_set.contains(c) {
-            // The receiver is frozen, or earlier arrivals still wait:
-            // arrivals queue in `held` and drain one per cycle (the link's
-            // bandwidth) once the stall lifts.
-            let held = &mut self.held[c];
-            held.extend(arrived);
-            let next = if stalled { None } else { held.pop_front() };
-            if held.is_empty() {
-                self.held_set.remove(c);
-            } else {
-                self.held_set.insert(c);
-            }
-            next
-        } else {
-            arrived
-        };
-        let Some(mut flit) = next else {
-            return Ok(());
-        };
-        if faults_active {
-            match self
-                .fault_index
-                .flit_fate(ends.from, ends.dir, now, &mut self.fault_rng)
-            {
-                FlitFate::Drop => {
-                    self.stats.flits_lost_to_faults += 1;
-                    self.stats.faults_injected += 1;
-                    self.in_flight -= 1;
-                    self.log_fault(FaultEvent::for_flit(now, ends.from, ends.dir, &flit, true));
-                    return Ok(());
-                }
-                FlitFate::Corrupt => {
-                    flit.corrupt();
-                    self.stats.faults_injected += 1;
-                    self.log_fault(FaultEvent::for_flit(now, ends.from, ends.dir, &flit, false));
-                }
-                FlitFate::Deliver => {}
-            }
-        }
-        if self.config.max_flit_age > 0 {
-            let age = now.saturating_sub(flit.injected_at);
-            if age > self.config.max_flit_age {
-                return Err(SimError::FlitOverAge {
-                    cycle: now,
-                    limit: self.config.max_flit_age,
-                    age,
-                    node: ends.to,
-                    flit,
-                });
-            }
-        }
-        self.router_active.insert(ends.to.index());
-        self.routers[ends.to.index()].receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
-        Ok(())
-    }
-
-    /// Phase-2b body for one NI: one injection attempt plus incremental
-    /// in-flight/retransmit accounting and send-set maintenance.
-    fn inject_at(&mut self, i: usize, now: Cycle) {
-        let inj0 = self.stats.flits_injected;
-        let rtx0 = self.stats.flits_retransmitted;
-        self.nis[i].try_inject(self.routers[i].as_mut(), now, &mut self.stats);
-        let retransmitted = self.stats.flits_retransmitted - rtx0;
-        let entered = (self.stats.flits_injected - inj0) + retransmitted;
-        if entered > 0 {
-            self.in_flight += entered as usize;
-            self.router_active.insert(i);
-        }
-        self.retx_queued -= retransmitted as usize;
-        if self.nis[i].pending_packets() > 0 || self.nis[i].pending_retransmits() > 0 {
-            self.ni_send_active.insert(i);
-        } else {
-            self.ni_send_active.remove(i);
-        }
-    }
-
-    /// Phase-3 body for one router: replay pending idle cycles, step it,
-    /// and route its outputs into channels and the local NI.
-    fn step_one_router(&mut self, i: usize, at: Slots, now: Cycle) -> Result<(), SimError> {
-        let pending_idle = now - self.accounted_upto[i];
-        if pending_idle > 0 {
-            #[cfg(debug_assertions)]
-            let expected = self.routers[i].counters_view(pending_idle);
-            self.routers[i].note_idle_cycles(pending_idle);
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                *self.routers[i].counters(),
-                expected,
-                "router {i}: note_idle_cycles disagrees with counters_view"
-            );
-        }
-        self.accounted_upto[i] = now + 1;
-
-        self.scratch.clear();
-        let mut rng = self.rng.fork((now << 16) ^ i as u64);
-        self.routers[i].step(now, &mut rng, &mut self.scratch);
-
-        for dir in Direction::ALL {
-            if let Some(flit) = self.scratch.flits[PortId::Net(dir)] {
-                let Some(chan) = self.out_chan[i][dir] else {
-                    return Err(SimError::Misrouted {
-                        cycle: now,
-                        node: NodeId::new(i),
-                        dir,
-                        flit,
-                    });
-                };
-                self.fwd_due[at.fwd_send].insert(chan);
-                self.channels[chan].push_flit(at, flit);
-            }
-            for &credit in &self.scratch.credits[PortId::Net(dir)] {
-                if let Some(chan) = self.in_chan[i][dir] {
-                    self.rev_due[at.rev_send].insert(chan);
-                    self.channels[chan].push_credit(at, credit);
-                    self.credits_pushed += 1;
-                }
-            }
-        }
-        if self.scratch.flits[PortId::Local].is_some() {
-            return Err(SimError::ProtocolViolation {
-                cycle: now,
-                node: NodeId::new(i),
-                what: "routers must use `ejected`, not the Local flit slot",
-            });
-        }
-        for &signal in &self.scratch.control {
-            for dir in Direction::ALL {
-                if let Some(chan) = self.in_chan[i][dir] {
-                    self.rev_due[at.rev_send].insert(chan);
-                    self.channels[chan].push_control(at, signal);
-                }
-            }
-        }
-        if !self.scratch.ejected.is_empty() {
-            self.in_flight -= self.scratch.ejected.len();
-            self.nis[i].receive_flits(self.scratch.ejected.drain(..), now, &mut self.stats);
-            self.ni_high_water_max = self
-                .ni_high_water_max
-                .max(self.nis[i].reassembly_high_water());
-            if self.nis[i].has_delivered() {
-                self.ni_delivered.insert(i);
-            }
-        }
-
-        // Dropped flits ride the modeled NACK circuit back to their
-        // source: latency proportional to the Manhattan distance, plus a
-        // small fixed processing cost.
-        if !self.scratch.dropped.is_empty() {
-            self.in_flight -= self.scratch.dropped.len();
-            for flit in self.scratch.dropped.drain(..) {
-                let dist = self.mesh.distance(NodeId::new(i), flit.src) as u64;
-                let ready = now + dist * self.config.link_latency + 2;
-                self.nack_queue.push((ready, flit));
-            }
-        }
-
-        let mode = self.routers[i].mode();
-        if mode != self.modes_cache[i] {
-            self.mode_counts[Self::mode_slot(self.modes_cache[i])] -= 1;
-            self.mode_counts[Self::mode_slot(mode)] += 1;
-            self.modes_cache[i] = mode;
-        }
-        if self.routers[i].is_quiescent() {
-            self.router_active.remove(i);
-        } else {
-            self.router_active.insert(i);
         }
         Ok(())
     }
@@ -1486,7 +1269,7 @@ impl Network {
     /// O(1) whenever anything is in flight; the NI scan only runs on
     /// candidate-drained cycles.
     pub fn is_drained(&self) -> bool {
-        self.in_flight == 0
+        self.tally.in_flight == 0
             && self.nack_queue.is_empty()
             && self.ack_queue.is_empty()
             && self.nis.iter().all(NodeInterface::is_idle)
@@ -1497,7 +1280,7 @@ impl Network {
     /// chaos/soak tests use this to say *what* failed to drain.
     pub fn drain_residue(&self) -> (usize, usize, usize, usize) {
         (
-            self.in_flight,
+            self.tally.in_flight as usize,
             self.nack_queue.len(),
             self.ack_queue.len(),
             self.nis.iter().filter(|ni| !ni.is_idle()).count(),
@@ -1624,7 +1407,7 @@ impl Network {
         self.fault_rng = self.rng.fork(0x00FA_0171);
         self.stats.clear();
         self.next_packet_id = 0;
-        self.scratch.clear();
+        self.scratch.get_or_insert_default().clear();
         self.nack_queue.clear();
         self.ack_queue.clear();
         self.fault_log.clear();
@@ -1632,9 +1415,7 @@ impl Network {
         // (equal) configuration and stay; only the firing cursor rewinds.
         self.detect_next = 0;
         self.unreachable_packets.clear();
-        self.credits_pushed = 0;
-        self.credits_delivered = 0;
-        self.credits_faulted = 0;
+        self.tally = Tally::default();
         self.last_progress = 0;
         self.last_progress_cycle = 0;
         self.audit_baseline = 0;
@@ -1643,14 +1424,10 @@ impl Network {
         self.ni_send_active.fill_full(n);
         self.ni_delivered.fill_empty();
         self.accounted_upto.fill(0);
-        self.mode_counts = [0u64; 3];
         for i in 0..n {
             self.modes_cache[i] = self.routers[i].mode();
-            self.mode_counts[Self::mode_slot(self.modes_cache[i])] += 1;
+            self.tally.mode_counts[Self::mode_slot(self.modes_cache[i])] += 1;
         }
-        self.in_flight = 0;
-        self.retx_queued = 0;
-        self.ni_high_water_max = 0;
         self.check_conservation = true;
         self.mem_high_water = 0;
         true
@@ -1660,7 +1437,7 @@ impl Network {
     /// routers/channels, riding the NACK circuit, or queued for
     /// retransmission. O(1) via the engine's incremental accounting.
     pub(crate) fn unaccounted_flits(&self) -> usize {
-        self.in_flight + self.nack_queue.len() + self.retx_queued
+        (self.tally.in_flight + self.tally.retx_queued) as usize + self.nack_queue.len()
     }
 
     /// [`Network::unaccounted_flits`] recounted from actual component
@@ -1729,15 +1506,16 @@ impl Network {
     /// Returns a human-readable description of the imbalance.
     pub fn credit_audit(&self) -> Result<(), String> {
         let on_wire: usize = self.channels.iter().map(Channel::credits_in_flight).sum();
-        let lhs = self.credits_pushed;
-        let rhs = self.credits_delivered + self.credits_faulted + on_wire as u64;
+        let t = &self.tally;
+        let lhs = t.credits_pushed;
+        let rhs = t.credits_delivered + t.credits_faulted + on_wire as u64;
         if lhs == rhs {
             Ok(())
         } else {
             Err(format!(
                 "credit conservation violated: pushed {lhs} != delivered {} + faulted {} \
                  + on-wire {}",
-                self.credits_delivered, self.credits_faulted, on_wire
+                t.credits_delivered, t.credits_faulted, on_wire
             ))
         }
     }
@@ -1759,7 +1537,11 @@ impl Network {
     /// link latency) catches mismatches. Engine-mode toggles
     /// ([`Network::set_full_scan`], conservation checking) are
     /// deliberately excluded — they are observer settings, not simulation
-    /// state, and both engine paths are byte-identical by construction.
+    /// state. The bytes do carry the walk's deferred idle-cycle
+    /// bookkeeping (`accounted_upto` and the router state a pending replay
+    /// would advance), which the full scan never defers: a full-scan run's
+    /// snapshot differs from a fast-path run's there, while every
+    /// observable result agrees.
     ///
     /// # Errors
     ///
@@ -1822,9 +1604,9 @@ impl Network {
             w.put_u64(u.gave_up_at);
         }
 
-        w.put_u64(self.credits_pushed);
-        w.put_u64(self.credits_delivered);
-        w.put_u64(self.credits_faulted);
+        w.put_u64(self.tally.credits_pushed);
+        w.put_u64(self.tally.credits_delivered);
+        w.put_u64(self.tally.credits_faulted);
         w.put_u64(self.last_progress);
         w.put_u64(self.last_progress_cycle);
         w.put_usize(self.audit_baseline);
@@ -1986,9 +1768,9 @@ impl Network {
             });
         }
 
-        self.credits_pushed = r.get_u64("credits pushed")?;
-        self.credits_delivered = r.get_u64("credits delivered")?;
-        self.credits_faulted = r.get_u64("credits faulted")?;
+        self.tally.credits_pushed = r.get_u64("credits pushed")?;
+        self.tally.credits_delivered = r.get_u64("credits delivered")?;
+        self.tally.credits_faulted = r.get_u64("credits faulted")?;
         self.last_progress = r.get_u64("last progress")?;
         self.last_progress_cycle = r.get_u64("last progress cycle")?;
         self.audit_baseline = r.get_usize("audit baseline")?;
@@ -2039,17 +1821,17 @@ impl Network {
             }
         }
         self.modes_cache = self.routers.iter().map(|router| router.mode()).collect();
-        self.mode_counts = [0; 3];
+        self.tally.mode_counts = [0; 3];
         for m in &self.modes_cache {
-            self.mode_counts[Self::mode_slot(*m)] += 1;
+            self.tally.mode_counts[Self::mode_slot(*m)] += 1;
         }
-        self.in_flight = self.flits_in_network();
-        self.retx_queued = self
+        self.tally.in_flight = self.flits_in_network() as i64;
+        self.tally.retx_queued = self
             .nis
             .iter()
-            .map(NodeInterface::pending_retransmits)
+            .map(|ni| ni.pending_retransmits() as i64)
             .sum();
-        self.ni_high_water_max = self
+        self.tally.ni_high_water_max = self
             .nis
             .iter()
             .map(NodeInterface::reassembly_high_water)
@@ -2063,8 +1845,93 @@ impl Network {
             .iter()
             .position(|ev| ev.detect_at >= self.now)
             .unwrap_or(self.detect_schedule.len());
-        self.scratch.clear();
+        self.scratch.get_or_insert_default().clear();
         Ok(())
+    }
+}
+
+/// The serial cycle context: the network itself, writing its own
+/// accumulators, activity sets, fault log and NACK queue directly.
+impl Cx for Network {
+    fn view(&self) -> View<'_> {
+        View {
+            now: self.now,
+            at: self.slots,
+            config: &self.config,
+            mesh: &self.mesh,
+            rng: &self.rng,
+            ends: &self.ends,
+            out_chan: &self.out_chan,
+            in_chan: &self.in_chan,
+        }
+    }
+    fn node(&mut self, i: usize) -> Node<'_> {
+        Node {
+            router: self.routers[i].as_mut(),
+            ni: &mut self.nis[i],
+            accounted_upto: &mut self.accounted_upto[i],
+            mode: &mut self.modes_cache[i],
+            stats: &mut self.stats,
+            tally: &mut self.tally,
+        }
+    }
+    fn fwd_slot(&mut self, c: usize, slot: usize) -> &mut Option<Flit> {
+        &mut self.channels[c].fwd[slot]
+    }
+    fn rev_slot(&mut self, c: usize, slot: usize) -> &mut ReverseSlot {
+        &mut self.channels[c].rev[slot]
+    }
+    fn set_bit(&mut self, bits: Bits, i: usize, on: bool) {
+        let set = match bits {
+            Bits::Router => &mut self.router_active,
+            Bits::Sender => &mut self.ni_send_active,
+            Bits::Delivered => &mut self.ni_delivered,
+            Bits::FwdSend => &mut self.fwd_due[self.slots.fwd_send],
+            Bits::RevSend => &mut self.rev_due[self.slots.rev_send],
+        };
+        if on {
+            set.insert(i);
+        } else {
+            set.remove(i);
+        }
+    }
+    fn nack(&mut self, ready: Cycle, flit: Flit) {
+        self.nack_queue.push((ready, flit));
+    }
+    fn credit_lost(&mut self, ends: ChannelEnds) -> bool {
+        !self.config.faults.is_empty()
+            && self
+                .fault_index
+                .credit_lost(ends.from, ends.dir, self.now, &mut self.fault_rng)
+    }
+    fn flit_fate(&mut self, ends: ChannelEnds) -> FlitFate {
+        if self.config.faults.is_empty() {
+            return FlitFate::Deliver;
+        }
+        self.fault_index
+            .flit_fate(ends.from, ends.dir, self.now, &mut self.fault_rng)
+    }
+    /// Arrivals queue while the receiver is stalled by a fault, or while
+    /// earlier arrivals still wait, and drain one per cycle (the link's
+    /// bandwidth) once the stall lifts.
+    fn hold(&mut self, c: usize, to: NodeId, arrived: Option<Flit>) -> Option<Flit> {
+        let stalled =
+            !self.config.faults.is_empty() && self.config.faults.router_stalled(to, self.now);
+        if !stalled && !self.held_set.contains(c) {
+            return arrived;
+        }
+        let held = &mut self.held[c];
+        held.extend(arrived);
+        let next = if stalled { None } else { held.pop_front() };
+        if held.is_empty() {
+            self.held_set.remove(c);
+        } else {
+            self.held_set.insert(c);
+        }
+        next
+    }
+    fn log_fault(&mut self, _c: usize, _is_flit: bool, ev: FaultEvent) {
+        Network::log_fault(self, ev);
     }
 }
 

@@ -267,7 +267,7 @@ fn stalled_receiver_holds_arrivals_and_releases_one_per_cycle() {
     assert_eq!(delivered.len(), 1);
     assert_eq!(delivered[0].delivered_at, stall_end + 3);
     assert_eq!(
-        net.credits_pushed, 4,
+        net.tally.credits_pushed, 4,
         "each hop returns one credit upstream"
     );
 

@@ -7,14 +7,18 @@
 //! output-neutral because byte-identity holds for **any** contiguous
 //! ascending partition (see below).
 //!
-//! Each cycle runs as one region on a persistent `std::thread` pool,
-//! opened by a barrier and closed by a barrier-free binomial merge tree:
+//! This module is the *sharded schedule* of the cycle: it walks the same
+//! phase kernels as the serial engine ([`crate::cycle`]) through a shard
+//! context ([`ShardCx`]). The prologue (phase 0, NACK/ack queue
+//! retirement) and the end of the cycle (phase 3b, clock, watchdog) are
+//! the network's own and run outside this module for either engine.
+//! Each parallel cycle runs as one region on a persistent `std::thread`
+//! pool, opened by a barrier and closed by a barrier-free binomial merge
+//! tree:
 //!
-//! * **Exclusive window** (main thread, workers parked): the previous
-//!   cycle's epilogue (which empties that cycle's due-calendar slots),
-//!   serial phase 2a queue retirement (NACK/ack queues — order-sensitive
-//!   `swap_remove` scans), and publication of the cycle's `Job` (pointers
-//!   + cycle number + ring slots + RNG + current plan).
+//! * **Exclusive window** (main thread, workers parked): re-planning if
+//!   due, and publication of the cycle's `Job` (pointers + cycle number +
+//!   ring slots + RNG + current plan).
 //! * **Region AB** (phases 1 + 2a-scan + 2b + 3, fused): each shard takes
 //!   this cycle's arrivals on the channels incident to its own routers
 //!   (phase 1), scans its own NIs' retransmit timeouts (the sharded tail of
@@ -23,16 +27,17 @@
 //!   channels, credits/control into the reverse ring of its incoming
 //!   channels. Both ends of a channel touch both of its rings, but never
 //!   the same slot: phase 1 takes slot `t mod (D + 1)` and phase 3 writes
-//!   slot `(t + D) mod (D + 1)` ([`Slots`]), so neither needs the other
+//!   slot `(t + D) mod (D + 1)` ([`Slots`](crate::channel::Slots)), so neither needs the other
 //!   to finish. Ring slots are addressed through element pointers, never
 //!   through a `&mut Channel`.
 //! * **Merge tree**: per-shard deltas fold up a binomial tree — shard `k`
 //!   merges shard `k+s` for `s = 1, 2, 4, …` while `k mod 2s == 0`,
 //!   spin-waiting on the child's generation-tagged ready flag. Shard 0's
 //!   root merge therefore transitively waits on every shard, so the main
-//!   thread needs no further barrier before the epilogue: one barrier per
-//!   cycle, total. Tree order concatenates shard vectors in ascending
-//!   shard order, byte-identical to the old serial shard-order fold.
+//!   thread needs no further barrier before it adds the merged delta to
+//!   the network: one barrier per cycle, total. Tree order concatenates
+//!   shard vectors in ascending shard order, byte-identical to the old
+//!   serial shard-order fold.
 //!
 //! ## Why the output is byte-identical at any thread count
 //!
@@ -52,7 +57,9 @@
 //!
 //! Terminal errors keep their *identity* (the same `SimError` the serial
 //! engine would have returned first) by taking the minimum over
-//! `(phase, component index)` across shards; the post-error partial state
+//! `(phase, component index)` across shards (a shard's phase-1 walk keeps
+//! going after an error so every due flit is age-checked); the post-error
+//! partial state
 //! may differ from serial, which is fine because errors are terminal — the
 //! network must not be stepped further either way.
 //!
@@ -67,18 +74,18 @@
 //! back to the serial walk instead of burning 4× the time.
 #![allow(unsafe_code)]
 
-use crate::channel::{self, Channel, ReverseSlot, Slots};
+use crate::channel::{Channel, ReverseSlot};
+use crate::cycle::{self, Bits, Cx, Node, Tally, View};
 use crate::error::SimError;
-use crate::faults::{FaultEvent, FaultEventKind, FaultIndex};
+use crate::faults::{FaultEvent, FaultIndex, FlitFate};
 use crate::flit::{Cycle, Flit};
-use crate::geom::{DirMap, Direction, NodeId, PortId};
+use crate::geom::NodeId;
 use crate::network::{ChannelEnds, Network};
 use crate::ni::NodeInterface;
-use crate::rng::SimRng;
 use crate::router::{Router, RouterMode, RouterOutputs};
 use crate::stats::NetworkStats;
-use crate::topology::Mesh;
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -121,42 +128,17 @@ struct PlanStatic {
     /// end (receives credits/control).
     events: Vec<(u32, bool)>,
     ev_off: Vec<u32>,
-    /// Prefix sums of per-node outgoing-channel counts: node `j` owns
-    /// channels `[node_chan_start[j], node_chan_start[j+1])`.
-    node_chan_start: Vec<usize>,
-    mesh: Mesh,
-    link_latency: u64,
-    max_flit_age: u64,
 }
 
 impl PlanStatic {
     fn build(net: &Network) -> PlanStatic {
         let n = net.routers.len();
-        let chan_count = net.channels.len();
-
-        // Channels are created grouped by their upstream node in ascending
-        // node order (Network::new), so per-node channel ranges are
-        // contiguous; the engine's channel-ownership ranges follow the
-        // node ranges directly.
-        debug_assert!(net
-            .ends
-            .windows(2)
-            .all(|w| w[0].from.index() <= w[1].from.index()));
-        let mut node_chan_start = vec![0usize; n + 1];
-        for e in &net.ends {
-            node_chan_start[e.from.index() + 1] += 1;
-        }
-        for i in 0..n {
-            node_chan_start[i + 1] += node_chan_start[i];
-        }
-        debug_assert_eq!(node_chan_start[n], chan_count);
-
         let mut per: Vec<Vec<(u32, bool)>> = vec![Vec::new(); n];
         for (c, e) in net.ends.iter().enumerate() {
             per[e.from.index()].push((c as u32, false));
             per[e.to.index()].push((c as u32, true));
         }
-        let mut events = Vec::with_capacity(2 * chan_count);
+        let mut events = Vec::with_capacity(2 * net.channels.len());
         let mut ev_off = vec![0u32; n + 1];
         for (j, mut list) in per.into_iter().enumerate() {
             list.sort_unstable_by_key(|&(c, _)| c);
@@ -164,14 +146,7 @@ impl PlanStatic {
             ev_off[j + 1] = events.len() as u32;
         }
 
-        PlanStatic {
-            events,
-            ev_off,
-            node_chan_start,
-            mesh: net.mesh.clone(),
-            link_latency: net.config.link_latency,
-            max_flit_age: net.config.max_flit_age,
-        }
+        PlanStatic { events, ev_off }
     }
 }
 
@@ -237,32 +212,22 @@ pub fn shard_boundaries(weights: &[u64], shards: usize) -> Vec<usize> {
 /// router dominates (it pays the pipeline step), a sending NI and each
 /// live upstream channel add smaller shares, and every node keeps a floor
 /// of 1 so idle stretches still split evenly.
-fn shard_weights(net: &Network, stat: &PlanStatic) -> Vec<u64> {
-    let n = net.routers.len();
-    let mut weights = vec![0u64; n];
-    for (j, w) in weights.iter_mut().enumerate() {
-        let mut wt = 1u64;
-        if net.router_active.contains(j) {
-            wt += 4;
-        }
-        if net.ni_send_active.contains(j) {
-            wt += 2;
-        }
-        for c in stat.node_chan_start[j]..stat.node_chan_start[j + 1] {
-            if net.channel_live(c) {
-                wt += 1;
-            }
-        }
-        *w = wt;
-    }
-    weights
+fn shard_weights(net: &Network) -> Vec<u64> {
+    (0..net.routers.len())
+        .map(|j| {
+            let live = net.out_chan[j].iter().filter_map(|(_, c)| *c);
+            1 + 4 * u64::from(net.router_active.contains(j))
+                + 2 * u64::from(net.ni_send_active.contains(j))
+                + live.filter(|&c| net.channel_live(c)).count() as u64
+        })
+        .collect()
 }
 
 /// Builds the boundary vector a fresh engine would use right now — the
 /// test hook behind [`Network::debug_shard_plan`].
 pub(crate) fn plan_preview(net: &Network, threads: usize) -> Vec<usize> {
     let shards = threads.min(net.routers.len()).max(1);
-    shard_boundaries(&shard_weights(net, &PlanStatic::build(net)), shards)
+    shard_boundaries(&shard_weights(net), shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -281,53 +246,41 @@ pub(crate) fn plan_preview(net: &Network, threads: usize) -> Vec<usize> {
 /// then — the merge-tree flags prove it).
 struct Job {
     seq: u64,
-    now: Cycle,
-    at: Slots,
-    rng: SimRng,
     plan: *const Plan,
+    /// The network's own [`View`] of the cycle, on the publishing frame.
+    view: *const View<'static>,
     /// The network's compiled fault index; the fast path admits only
     /// deterministic plans, whose whole effect is its dead-link test.
     faults: *const FaultIndex,
-    recovery: bool,
     routers: *mut Box<dyn Router>,
     nis: *mut NodeInterface,
     channels: *mut Channel,
-    ends: *const ChannelEnds,
-    out_chan: *const DirMap<Option<usize>>,
-    in_chan: *const DirMap<Option<usize>>,
     accounted_upto: *mut Cycle,
     modes_cache: *mut RouterMode,
-    router_active: *mut u64,
     /// Due-calendar words of this cycle's arrival slots (read-only during
-    /// the region; the epilogue empties them) and of this cycle's send
-    /// slots (set by phase 3).
-    fwd_arrivals: *const u64,
-    rev_arrivals: *const u64,
-    fwd_sends: *mut u64,
-    rev_sends: *mut u64,
-    ni_send: *mut u64,
-    ni_delivered: *mut u64,
+    /// the region; emptied after it).
+    fwd_arrivals: *const [u64],
+    rev_arrivals: *const [u64],
+    /// The bitmask words kernels mark, indexed by [`Bits`]: activity sets
+    /// and the due-calendar words of this cycle's send slots.
+    bits: [*const [AtomicU64]; 5],
 }
 
 /// Everything a shard accumulates during a cycle, folded by the merge
-/// tree and the epilogue.
+/// tree and added to the network after the region.
 struct ShardDelta {
     stats: NetworkStats,
-    credits_delivered: u64,
-    credits_pushed: u64,
-    credits_faulted: u64,
-    in_flight: i64,
-    retx_queued: i64,
-    mode_counts: [i64; 3],
-    ni_hw_max: usize,
+    tally: Tally,
     /// Dropped flits (NACK circuit), in this shard's router-walk order.
     dropped: Vec<(Cycle, Flit)>,
-    /// Fault-plane events, tagged `(channel, is_flit_event)`. The epilogue
+    /// Fault-plane events, tagged `(channel, is_flit_event)`. The merge
     /// stable-sorts the union by that key, which reproduces the serial
     /// engine's fault-log order (ascending channel, credits before the
     /// flit within one channel's delivery).
     fault_events: Vec<(u32, bool, FaultEvent)>,
-    scratch: RouterOutputs,
+    /// Router outputs scratch, boxed so region AB takes it out of the
+    /// delta (which it lends to the kernels) by moving a pointer.
+    scratch: Option<Box<RouterOutputs>>,
     /// First/minimal terminal error: `(phase, component index, error)`.
     error: Option<(u8, u32, SimError)>,
     panic: Option<Box<dyn std::any::Any + Send>>,
@@ -337,16 +290,10 @@ impl ShardDelta {
     fn new() -> ShardDelta {
         ShardDelta {
             stats: NetworkStats::new(),
-            credits_delivered: 0,
-            credits_pushed: 0,
-            credits_faulted: 0,
-            in_flight: 0,
-            retx_queued: 0,
-            mode_counts: [0; 3],
-            ni_hw_max: 0,
+            tally: Tally::default(),
             dropped: Vec::new(),
             fault_events: Vec::new(),
-            scratch: RouterOutputs::new(),
+            scratch: Some(Box::default()),
             error: None,
             panic: None,
         }
@@ -354,24 +301,30 @@ impl ShardDelta {
 
     fn reset(&mut self) {
         self.stats.clear();
-        self.credits_delivered = 0;
-        self.credits_pushed = 0;
-        self.credits_faulted = 0;
-        self.in_flight = 0;
-        self.retx_queued = 0;
-        self.mode_counts = [0; 3];
-        self.ni_hw_max = 0;
+        self.tally = Tally::default();
         self.dropped.clear();
         self.fault_events.clear();
         self.error = None;
         self.panic = None;
     }
 
+    /// Records a terminal error, keeping the minimum over
+    /// `(phase, component index)`: the error the serial walk meets first.
+    fn fail(&mut self, phase: u8, index: u32, err: SimError) {
+        match &self.error {
+            Some((p, i, _)) if (*p, *i) <= (phase, index) => {}
+            _ => self.error = Some((phase, index, err)),
+        }
+    }
+
     fn heap_bytes(&self) -> usize {
         self.stats.heap_bytes()
             + self.dropped.capacity() * std::mem::size_of::<(Cycle, Flit)>()
             + self.fault_events.capacity() * std::mem::size_of::<(u32, bool, FaultEvent)>()
-            + self.scratch.heap_bytes()
+            + self
+                .scratch
+                .as_ref()
+                .map_or(0, |s| std::mem::size_of::<RouterOutputs>() + s.heap_bytes())
     }
 }
 
@@ -381,22 +334,11 @@ impl ShardDelta {
 /// contiguous shard range ending right where `src`'s begins.
 fn merge_deltas(dst: &mut ShardDelta, src: &mut ShardDelta) {
     dst.stats.merge(&src.stats);
-    dst.credits_delivered += src.credits_delivered;
-    dst.credits_pushed += src.credits_pushed;
-    dst.credits_faulted += src.credits_faulted;
-    dst.in_flight += src.in_flight;
-    dst.retx_queued += src.retx_queued;
-    for (m, s) in dst.mode_counts.iter_mut().zip(src.mode_counts) {
-        *m += s;
-    }
-    dst.ni_hw_max = dst.ni_hw_max.max(src.ni_hw_max);
+    dst.tally.add(&src.tally);
     dst.dropped.append(&mut src.dropped);
     dst.fault_events.append(&mut src.fault_events);
     if let Some((p, i, e)) = src.error.take() {
-        match &dst.error {
-            Some((bp, bi, _)) if (*bp, *bi) <= (p, i) => {}
-            _ => dst.error = Some((p, i, e)),
-        }
+        dst.fail(p, i, e);
     }
     if dst.panic.is_none() {
         dst.panic = src.panic.take();
@@ -507,23 +449,13 @@ pub(crate) struct Engine {
     cycles: u64,
 }
 
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("shards", &self.plan.shards)
-            .field("cycles", &self.cycles)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Engine {
     fn new(net: &Network, threads: usize) -> Engine {
         let stat = Arc::new(PlanStatic::build(net));
         let shards = threads.min(net.routers.len()).max(1);
-        let weights = shard_weights(net, &stat);
         let plan = Arc::new(Plan::with_boundaries(
-            Arc::clone(&stat),
-            shard_boundaries(&weights, shards),
+            stat,
+            shard_boundaries(&shard_weights(net), shards),
         ));
         let shared = Arc::new(Shared {
             barrier: SpinBarrier::new(plan.shards),
@@ -560,8 +492,7 @@ impl Engine {
     /// safe; byte-identity is unaffected because any contiguous ascending
     /// partition produces the same output.
     fn replan(&mut self, net: &Network) {
-        let weights = shard_weights(net, &self.plan.stat);
-        let node_start = shard_boundaries(&weights, self.plan.shards);
+        let node_start = shard_boundaries(&shard_weights(net), self.plan.shards);
         if node_start != self.plan.node_start {
             self.plan = Arc::new(Plan::with_boundaries(
                 Arc::clone(&self.plan.stat),
@@ -577,7 +508,6 @@ impl Engine {
         let stat = &self.plan.stat;
         let plan = stat.events.capacity() * size_of::<(u32, bool)>()
             + stat.ev_off.capacity() * size_of::<u32>()
-            + stat.node_chan_start.capacity() * size_of::<usize>()
             + self.plan.node_start.capacity() * size_of::<usize>();
         // SAFETY: called only from the exclusive window between cycles
         // (workers parked at the start barrier), where the owning thread
@@ -611,67 +541,20 @@ impl Drop for Engine {
 }
 
 // ---------------------------------------------------------------------------
-// Atomic bitmask helpers
+// The shard context and the sharded schedule
 // ---------------------------------------------------------------------------
-
-/// # Safety
-/// `words` must point at a live `u64` bitmask covering bit `i`, aligned for
-/// `AtomicU64` (u64 and AtomicU64 share layout and alignment on supported
-/// 64-bit targets).
-#[inline]
-unsafe fn set_bit(words: *mut u64, i: usize) {
-    AtomicU64::from_ptr(words.add(i >> 6)).fetch_or(1u64 << (i & 63), Ordering::Relaxed);
-}
-
-/// # Safety
-/// See [`set_bit`].
-#[inline]
-unsafe fn clear_bit(words: *mut u64, i: usize) {
-    AtomicU64::from_ptr(words.add(i >> 6)).fetch_and(!(1u64 << (i & 63)), Ordering::Relaxed);
-}
-
-/// # Safety
-/// `words` must cover bit `i`, with no concurrent writer of its word.
-#[inline]
-unsafe fn test_bit(words: *const u64, i: usize) -> bool {
-    *words.add(i >> 6) & (1u64 << (i & 63)) != 0
-}
-
-/// Slot `slot` of channel `c`'s forward ring, addressed without forming a
-/// reference to the channel or its ring: the two ends of a channel work on
-/// different slots of both rings within one region.
-///
-/// # Safety
-/// `c` must be a channel of the job's network and `slot` below its ring
-/// depth; no other thread may access that slot during the borrow.
-#[inline]
-unsafe fn fwd_slot<'a>(job: &Job, c: usize, slot: usize) -> &'a mut Option<Flit> {
-    &mut *addr_of_mut!((*(*job.channels.add(c)).fwd)[slot])
-}
-
-/// The reverse-ring twin of [`fwd_slot`].
-///
-/// # Safety
-/// See [`fwd_slot`].
-#[inline]
-unsafe fn rev_slot<'a>(job: &Job, c: usize, slot: usize) -> &'a mut ReverseSlot {
-    &mut *addr_of_mut!((*(*job.channels.add(c)).rev)[slot])
-}
 
 /// Walks set bits of `[lo, hi)` in ascending order from per-word snapshots
 /// (the serial engine's exact iteration discipline, masked to the shard's
 /// range). The callback returns `false` to stop early.
-///
-/// # Safety
-/// `words` must cover bit range `[lo, hi)` and stay live for the call.
-unsafe fn walk_masked(words: *mut u64, lo: usize, hi: usize, mut f: impl FnMut(usize) -> bool) {
+fn walk_masked(words: &[AtomicU64], lo: usize, hi: usize, mut f: impl FnMut(usize) -> bool) {
     if lo >= hi {
         return;
     }
     let w_lo = lo >> 6;
     let w_hi = (hi - 1) >> 6;
-    for wi in w_lo..=w_hi {
-        let mut w = AtomicU64::from_ptr(words.add(wi)).load(Ordering::Relaxed);
+    for (wi, word) in words.iter().enumerate().take(w_hi + 1).skip(w_lo) {
+        let mut w = word.load(Ordering::Relaxed);
         if wi == w_lo {
             w &= !0u64 << (lo & 63);
         }
@@ -689,29 +572,133 @@ unsafe fn walk_masked(words: *mut u64, lo: usize, hi: usize, mut f: impl FnMut(u
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cycle regions
-// ---------------------------------------------------------------------------
+/// The cycle context of one shard: the phase kernels' view of the
+/// components the shard owns, writing the shard's delta and atomic bitmask
+/// words. Every node and ring slot a kernel asks for is checked against
+/// the ownership argument of the module docs, so the raw-pointer accesses
+/// behind them stay race-free whatever index a kernel passes.
+struct ShardCx<'a> {
+    job: &'a Job,
+    /// The shard's node range.
+    nodes: Range<usize>,
+    delta: &'a mut ShardDelta,
+    view: View<'a>,
+    faults: &'a FaultIndex,
+    bits: [&'a [AtomicU64]; 5],
+}
 
-fn min_error(delta: &mut ShardDelta, phase: u8, index: u32, err: SimError) {
-    match &delta.error {
-        Some((p, i, _)) if (*p, *i) <= (phase, index) => {}
-        _ => delta.error = Some((phase, index, err)),
+impl ShardCx<'_> {
+    /// Checks that `slot` of channel `c` is this cycle's `take` slot of a
+    /// channel whose receiving end is owned, or its `send` slot of one
+    /// whose sending end is owned — the only slots a shard may touch.
+    fn check_slot(&self, c: usize, slot: usize, take: (usize, NodeId), send: (usize, NodeId)) {
+        let owner = if slot == take.0 { take.1 } else { send.1 };
+        assert!(
+            (slot == take.0 || slot == send.0) && self.nodes.contains(&owner.index()),
+            "channel {c}, slot {slot}: not this shard's"
+        );
     }
 }
 
-/// Region AB: fused phases 1 (take this cycle's arrivals), 2a-scan (own
-/// NIs' retransmit timeouts), 2b (inject from own NIs) and 3 (step own
-/// routers, push outputs into this cycle's send slots).
+impl Cx for ShardCx<'_> {
+    fn view(&self) -> View<'_> {
+        self.view
+    }
+    fn node(&mut self, i: usize) -> Node<'_> {
+        assert!(self.nodes.contains(&i), "node {i} is not this shard's");
+        let job = self.job;
+        // SAFETY: node `i` belongs to this shard (checked above), so no
+        // other thread touches its router, NI, accounted-upto or mode-cache
+        // slot during the region; the borrow is tied to `self`, so a kernel
+        // holds at most one node at a time.
+        unsafe {
+            Node {
+                router: (*job.routers.add(i)).as_mut(),
+                ni: &mut *job.nis.add(i),
+                accounted_upto: &mut *job.accounted_upto.add(i),
+                mode: &mut *job.modes_cache.add(i),
+                stats: &mut self.delta.stats,
+                tally: &mut self.delta.tally,
+            }
+        }
+    }
+    /// Slot `slot` of channel `c`'s forward ring, addressed without forming
+    /// a reference to the channel or its ring: the downstream end takes
+    /// this cycle's arrival slot while the upstream end writes its send
+    /// slot.
+    fn fwd_slot(&mut self, c: usize, slot: usize) -> &mut Option<Flit> {
+        let (ends, at) = (self.view.ends[c], self.view.at);
+        self.check_slot(c, slot, (at.fwd_take, ends.to), (at.fwd_send, ends.from));
+        // SAFETY: `c` is a channel of the network (`ends` is indexed by
+        // channel) and the slot is this shard's (checked above): exactly
+        // one shard touches it this cycle.
+        unsafe { &mut *addr_of_mut!((*(*self.job.channels.add(c)).fwd)[slot]) }
+    }
+    /// The reverse-ring twin of [`ShardCx::fwd_slot`], with the channel's
+    /// ends swapped.
+    fn rev_slot(&mut self, c: usize, slot: usize) -> &mut ReverseSlot {
+        let (ends, at) = (self.view.ends[c], self.view.at);
+        self.check_slot(c, slot, (at.rev_take, ends.from), (at.rev_send, ends.to));
+        // SAFETY: as for `fwd_slot`.
+        unsafe { &mut *addr_of_mut!((*(*self.job.channels.add(c)).rev)[slot]) }
+    }
+    fn set_bit(&mut self, bits: Bits, i: usize, on: bool) {
+        let (word, bit) = (&self.bits[bits as usize][i >> 6], 1u64 << (i & 63));
+        if on {
+            word.fetch_or(bit, Ordering::Relaxed);
+        } else {
+            word.fetch_and(!bit, Ordering::Relaxed);
+        }
+    }
+    fn nack(&mut self, ready: Cycle, flit: Flit) {
+        self.delta.dropped.push((ready, flit));
+    }
+    /// The fast path's fault plane is deterministic: a dead link loses its
+    /// credits, and draws no RNG.
+    fn credit_lost(&mut self, ends: ChannelEnds) -> bool {
+        self.faults.link_dead(ends.from, ends.dir, self.view.now)
+    }
+    /// A dead link eats its flits; nothing else happens on the fast path.
+    fn flit_fate(&mut self, ends: ChannelEnds) -> FlitFate {
+        if self.faults.link_dead(ends.from, ends.dir, self.view.now) {
+            FlitFate::Drop
+        } else {
+            FlitFate::Deliver
+        }
+    }
+    /// Nothing is held: the fast path stalls no router, and the static
+    /// gate refuses cycles with held-back flits.
+    fn hold(&mut self, _c: usize, _to: NodeId, arrived: Option<Flit>) -> Option<Flit> {
+        arrived
+    }
+    /// Tagged by `(channel, is_flit)` so the merge can replay the serial
+    /// fault-log order.
+    fn log_fault(&mut self, c: usize, is_flit: bool, ev: FaultEvent) {
+        self.delta.fault_events.push((c as u32, is_flit, ev));
+    }
+}
+
+/// Region AB, the sharded schedule of phases 1, 2a-scan, 2b and 3 over the
+/// phase kernels of [`cycle`]: the shard takes this cycle's arrivals on the
+/// channels incident to its own routers, scans its own NIs' retransmit
+/// timeouts, injects from its own NIs, then steps its own routers.
 ///
 /// # Safety
 /// Must run after the start barrier with a valid published `Job`; only
 /// shard `shard` may call it for that shard.
 unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta) {
     let stat = &*plan.stat;
-    let faults = &*job.faults;
-    let now = job.now;
     let (lo, hi) = (plan.node_start[shard], plan.node_start[shard + 1]);
+    let (fwd_arrivals, rev_arrivals) = (&*job.fwd_arrivals, &*job.rev_arrivals);
+    let mut out = delta.scratch.take().unwrap_or_default();
+    let mut cx = ShardCx {
+        job,
+        nodes: lo..hi,
+        delta,
+        view: *job.view,
+        faults: &*job.faults,
+        bits: job.bits.map(|words| &*words),
+    };
 
     // Phase 1: every shard takes this cycle's arrivals incident on its own
     // routers — credits/control from the reverse rings of its routers'
@@ -719,274 +706,54 @@ unsafe fn region_ab(job: &Job, plan: &Plan, shard: usize, delta: &mut ShardDelta
     // channels — walking each router's incident channels in ascending
     // channel order, which reproduces the serial engine's per-router
     // mutation sequence exactly; the due calendar skips channels with
-    // nothing in this cycle's slot. Deliveries cross the *deterministic*
-    // fault plane here: a flit or credit on a permanently killed channel
-    // is eaten (the only fault kind the fast path admits — kills draw no
-    // RNG), with the event recorded in the shard delta tagged by channel
-    // index so the epilogue can replay the fault log in the serial
-    // engine's channel order. Taking this cycle's slots while other
+    // nothing in this cycle's slot. Taking this cycle's slots while other
     // shards run phase 3 is race-free: phase 3 writes the send slots.
     for j in lo..hi {
-        let router = &mut *job.routers.add(j);
         let evs = &stat.events[stat.ev_off[j] as usize..stat.ev_off[j + 1] as usize];
         for &(c32, is_fwd) in evs {
             let c = c32 as usize;
-            if is_fwd {
-                if !test_bit(job.fwd_arrivals, c) {
-                    continue;
-                }
-                let Some(flit) = fwd_slot(job, c, job.at.fwd_take).take() else {
-                    continue;
-                };
-                let ends = &*job.ends.add(c);
-                if faults.link_dead(ends.from, ends.dir, now) {
-                    // Deterministic fault plane: the link is dead, the flit
-                    // is eaten — exactly the serial engine's `flit_fate`,
-                    // which runs before the age check (a killed flit can
-                    // never be the serial run's first error).
-                    if delta.error.is_none() {
-                        delta.stats.flits_lost_to_faults += 1;
-                        delta.stats.faults_injected += 1;
-                        delta.in_flight -= 1;
-                        delta.fault_events.push((
-                            c32,
-                            true,
-                            FaultEvent::for_flit(now, ends.from, ends.dir, &flit, true),
-                        ));
-                    }
-                    continue;
-                }
-                if stat.max_flit_age > 0 {
-                    let age = now.saturating_sub(flit.injected_at);
-                    if age > stat.max_flit_age {
-                        min_error(
-                            delta,
-                            1,
-                            c32,
-                            SimError::FlitOverAge {
-                                cycle: now,
-                                limit: stat.max_flit_age,
-                                age,
-                                node: ends.to,
-                                flit,
-                            },
-                        );
-                        continue;
-                    }
-                }
-                if delta.error.is_some() {
-                    // After an error only keep age-checking (read-only) so
-                    // the minimal erroring channel — the serial engine's
-                    // first — is reported; stop mutating router state.
-                    continue;
-                }
-                set_bit(job.router_active, j);
-                router.receive_flit(PortId::Net(ends.dir.opposite()), flit, now);
-            } else {
-                if delta.error.is_some() || !test_bit(job.rev_arrivals, c) {
-                    continue;
-                }
-                let back = rev_slot(job, c, job.at.rev_take).take();
-                let ends = &*job.ends.add(c);
-                let dir = ends.dir;
-                if faults.link_dead(ends.from, dir, now) {
-                    // A dead link loses its credits too (serial
-                    // `credit_lost`); control signals are sideband and
-                    // still cross, keeping fault gossip alive.
-                    for _ in back.credits() {
-                        delta.stats.credits_lost += 1;
-                        delta.stats.faults_injected += 1;
-                        delta.credits_faulted += 1;
-                        delta.fault_events.push((
-                            c32,
-                            false,
-                            FaultEvent {
-                                cycle: now,
-                                from: ends.from,
-                                dir,
-                                kind: FaultEventKind::CreditLost,
-                            },
-                        ));
-                    }
-                } else {
-                    for &credit in back.credits() {
-                        delta.credits_delivered += 1;
-                        set_bit(job.router_active, j);
-                        router.receive_credit(PortId::Net(dir), credit, now);
-                    }
-                }
-                for &signal in back.control() {
-                    set_bit(job.router_active, j);
-                    router.receive_control(PortId::Net(dir), signal, now);
-                }
+            let due = if is_fwd { fwd_arrivals } else { rev_arrivals };
+            if due[c >> 6] & (1u64 << (c & 63)) == 0 {
+                continue;
+            }
+            if !is_fwd {
+                cycle::back_arrival(&mut cx, c);
+            } else if let Err(e) = cycle::flit_arrival(&mut cx, c, true) {
+                // Keep walking: every due flit is age-checked, so the
+                // minimal erroring channel — the serial walk's first — is
+                // the one reported.
+                cx.delta.fail(1, c32, e);
             }
         }
     }
 
-    if delta.error.is_some() {
-        return;
-    }
-
-    // Phase 2a, sharded tail: NI retransmit timeouts fire, mirroring the
-    // serial engine's ascending scan (bounded attempts may retire packets
-    // as unreachable here). Per-NI state is shard-owned and the scan
-    // touches nothing else, so sharding it is order-preserving; the
-    // order-sensitive NACK/ack queue retirement already ran serially in
-    // the exclusive window.
-    if job.recovery {
-        for i in lo..hi {
-            let c0 = delta.stats.flits_retransmit_copies;
-            let a0 = delta.stats.flits_abandoned;
-            (&mut *job.nis.add(i)).check_timeouts(now, &mut delta.stats);
-            let copies = delta.stats.flits_retransmit_copies - c0;
-            if copies > 0 {
-                // Re-materialized copies must be visible to the masked
-                // injection walk below.
-                set_bit(job.ni_send, i);
+    if cx.delta.error.is_none() {
+        if cx.view.config.retransmit.is_some() {
+            for i in lo..hi {
+                cycle::retransmit_timeouts(&mut cx, i);
             }
-            delta.retx_queued += copies as i64;
-            // Copies purged when a packet was given up never inject.
-            delta.retx_queued -= (delta.stats.flits_abandoned - a0) as i64;
         }
-    }
-
-    // Phase 2b: injection attempts from own NIs.
-    walk_masked(job.ni_send, lo, hi, |i| {
-        let ni = &mut *job.nis.add(i);
-        let router = &mut *job.routers.add(i);
-        let inj0 = delta.stats.flits_injected;
-        let rtx0 = delta.stats.flits_retransmitted;
-        ni.try_inject(router.as_mut(), now, &mut delta.stats);
-        let retransmitted = delta.stats.flits_retransmitted - rtx0;
-        let entered = (delta.stats.flits_injected - inj0) + retransmitted;
-        if entered > 0 {
-            delta.in_flight += entered as i64;
-            set_bit(job.router_active, i);
-        }
-        delta.retx_queued -= retransmitted as i64;
-        if ni.pending_packets() > 0 || ni.pending_retransmits() > 0 {
-            set_bit(job.ni_send, i);
-        } else {
-            clear_bit(job.ni_send, i);
-        }
-        true
-    });
-
-    // Phase 3: step own routers.
-    walk_masked(job.router_active, lo, hi, |i| {
-        step_one_router(job, plan, delta, i);
-        // Stop this shard at its first terminal error: within-shard router
-        // order is ascending, so the shard's error is its minimal one.
-        delta.error.is_none()
-    });
-}
-
-/// One router's phase-3 step (the parallel twin of the serial
-/// `Network::step_one_router`, writing into this cycle's send slots and
-/// the shard's delta instead of the global accumulators).
-unsafe fn step_one_router(job: &Job, plan: &Plan, delta: &mut ShardDelta, i: usize) {
-    let stat = &*plan.stat;
-    let now = job.now;
-    let router = &mut *job.routers.add(i);
-    let accounted = &mut *job.accounted_upto.add(i);
-    let pending_idle = now - *accounted;
-    if pending_idle > 0 {
-        #[cfg(debug_assertions)]
-        let expected = router.counters_view(pending_idle);
-        router.note_idle_cycles(pending_idle);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            *router.counters(),
-            expected,
-            "router {i}: note_idle_cycles disagrees with counters_view"
+        let (senders, routers) = (
+            cx.bits[Bits::Sender as usize],
+            cx.bits[Bits::Router as usize],
         );
-    }
-    *accounted = now + 1;
-
-    delta.scratch.clear();
-    let mut rng = job.rng.fork((now << 16) ^ i as u64);
-    router.step(now, &mut rng, &mut delta.scratch);
-
-    for dir in Direction::ALL {
-        if let Some(flit) = delta.scratch.flits[PortId::Net(dir)] {
-            let Some(chan) = (&*job.out_chan.add(i))[dir] else {
-                min_error(
-                    delta,
-                    3,
-                    i as u32,
-                    SimError::Misrouted {
-                        cycle: now,
-                        node: NodeId::new(i),
-                        dir,
-                        flit,
-                    },
-                );
-                return;
-            };
-            // Router `i` is the only writer of this channel's forward send
-            // slot this cycle.
-            set_bit(job.fwd_sends, chan);
-            channel::put_flit(fwd_slot(job, chan, job.at.fwd_send), flit);
-        }
-        for &credit in &delta.scratch.credits[PortId::Net(dir)] {
-            if let Some(chan) = (&*job.in_chan.add(i))[dir] {
-                set_bit(job.rev_sends, chan);
-                rev_slot(job, chan, job.at.rev_send).push_credit(credit);
-                delta.credits_pushed += 1;
+        walk_masked(senders, lo, hi, |i| {
+            cycle::inject(&mut cx, i);
+            true
+        });
+        walk_masked(routers, lo, hi, |i| {
+            match cycle::step_router(&mut cx, i, &mut out) {
+                Ok(()) => true,
+                Err(e) => {
+                    // Stop at the shard's first router error: within-shard
+                    // order is ascending, so it is the shard's minimal one.
+                    cx.delta.fail(3, i as u32, e);
+                    false
+                }
             }
-        }
+        });
     }
-    if delta.scratch.flits[PortId::Local].is_some() {
-        min_error(
-            delta,
-            3,
-            i as u32,
-            SimError::ProtocolViolation {
-                cycle: now,
-                node: NodeId::new(i),
-                what: "routers must use `ejected`, not the Local flit slot",
-            },
-        );
-        return;
-    }
-    for &signal in &delta.scratch.control {
-        for dir in Direction::ALL {
-            if let Some(chan) = (&*job.in_chan.add(i))[dir] {
-                set_bit(job.rev_sends, chan);
-                rev_slot(job, chan, job.at.rev_send).push_control(signal);
-            }
-        }
-    }
-    if !delta.scratch.ejected.is_empty() {
-        let ni = &mut *job.nis.add(i);
-        delta.in_flight -= delta.scratch.ejected.len() as i64;
-        ni.receive_flits(delta.scratch.ejected.drain(..), now, &mut delta.stats);
-        delta.ni_hw_max = delta.ni_hw_max.max(ni.reassembly_high_water());
-        if ni.has_delivered() {
-            set_bit(job.ni_delivered, i);
-        }
-    }
-    if !delta.scratch.dropped.is_empty() {
-        delta.in_flight -= delta.scratch.dropped.len() as i64;
-        for flit in delta.scratch.dropped.drain(..) {
-            let dist = stat.mesh.distance(NodeId::new(i), flit.src) as u64;
-            let ready = now + dist * stat.link_latency + 2;
-            delta.dropped.push((ready, flit));
-        }
-    }
-
-    let mode = router.mode();
-    let cached = &mut *job.modes_cache.add(i);
-    if mode != *cached {
-        delta.mode_counts[Network::mode_slot(*cached)] -= 1;
-        delta.mode_counts[Network::mode_slot(mode)] += 1;
-        *cached = mode;
-    }
-    if router.is_quiescent() {
-        clear_bit(job.router_active, i);
-    } else {
-        set_bit(job.router_active, i);
-    }
+    cx.delta.scratch = Some(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1077,47 +844,6 @@ fn worker_loop(shared: &Shared, shard: usize) {
     }
 }
 
-/// Serial head of phase 2a, run in the exclusive window: NACKs that have
-/// reached their source become pending retransmissions and end-to-end
-/// acks retire outstanding packets. Both retire queue entries with
-/// order-sensitive `swap_remove` scans, so they stay serial; running them
-/// *before* phase 1 (instead of after, as in the serial engine) is legal
-/// because they touch only NI/queue state disjoint from phase 1's
-/// router and ring-slot writes.
-fn phase_2a_queues(net: &mut Network, now: Cycle) {
-    let recovery = net.config.retransmit.is_some();
-    if !net.nack_queue.is_empty() {
-        let mut i = 0;
-        while i < net.nack_queue.len() {
-            if net.nack_queue[i].0 <= now {
-                let (_, flit) = net.nack_queue.swap_remove(i);
-                let src = flit.src.index();
-                net.nis[src].nack(flit, now, &mut net.stats);
-                if !recovery {
-                    // Without end-to-end recovery a NACK requeues the flit
-                    // directly; with it the copy is absorbed and the
-                    // timeout path re-materializes the packet.
-                    net.retx_queued += 1;
-                }
-                net.ni_send_active.insert(src);
-            } else {
-                i += 1;
-            }
-        }
-    }
-    if !net.ack_queue.is_empty() {
-        let mut i = 0;
-        while i < net.ack_queue.len() {
-            if net.ack_queue[i].0 <= now {
-                let (_, src, id) = net.ack_queue.swap_remove(i);
-                net.nis[src.index()].acknowledge(id, &mut net.stats);
-            } else {
-                i += 1;
-            }
-        }
-    }
-}
-
 /// Static activity gate: true when the cycle has enough live components to
 /// amortize the barrier cost and no residual held-back flits (from a
 /// restored faulted run) force the serial walk.
@@ -1167,53 +893,55 @@ pub(crate) fn step_parallel_with(net: &mut Network, threads: usize) -> Result<()
     step_cycle(net, &shared, &plan, seq)
 }
 
+/// One parallel cycle of phases 1–3: publish the job, run region AB on
+/// every shard, then merge the folded delta into the network. The
+/// prologue (phase 0 and queue retirement) and the end of the cycle
+/// (phase 3b, clock, watchdog) are the network's own, shared with the
+/// serial schedule.
 fn step_cycle(
     net: &mut Network,
     shared: &Shared,
     plan: &Arc<Plan>,
     seq: u64,
 ) -> Result<(), SimError> {
-    let now = net.now;
     let at = net.slots;
     net.parallel_cycles += 1;
 
-    // Exclusive window: workers are parked at the start barrier. The
-    // serial queue head of phase 2a runs first (commutes with phase 1 —
-    // disjoint state), then the job is published.
-    phase_2a_queues(net, now);
+    // Exclusive window: workers are parked at the start barrier.
+    let mut job = Job {
+        seq,
+        plan: Arc::as_ptr(plan),
+        view: std::ptr::null(),
+        faults: &net.fault_index,
+        routers: net.routers.as_mut_ptr(),
+        nis: net.nis.as_mut_ptr(),
+        channels: net.channels.as_mut_ptr(),
+        accounted_upto: net.accounted_upto.as_mut_ptr(),
+        modes_cache: net.modes_cache.as_mut_ptr(),
+        fwd_arrivals: net.fwd_due[at.fwd_take].words.as_slice(),
+        rev_arrivals: net.rev_due[at.rev_take].words.as_slice(),
+        bits: [
+            atomic_words(&mut net.router_active.words),
+            atomic_words(&mut net.ni_send_active.words),
+            atomic_words(&mut net.ni_delivered.words),
+            atomic_words(&mut net.fwd_due[at.fwd_send].words),
+            atomic_words(&mut net.rev_due[at.rev_send].words),
+        ],
+    };
+    // The view borrows fields no shard writes; it stays on this frame
+    // until the merge below has retired every shard's access.
+    let view = net.view();
+    job.view = (&view as *const View<'_>).cast();
     // SAFETY: sole accessor of the job cell until the barrier crossing;
     // every prior cycle's accesses were retired by its merge-tree flags.
     unsafe {
-        *shared.job.get() = Some(Job {
-            seq,
-            now,
-            at,
-            rng: net.rng.clone(),
-            plan: Arc::as_ptr(plan),
-            faults: &net.fault_index,
-            recovery: net.config.retransmit.is_some(),
-            routers: net.routers.as_mut_ptr(),
-            nis: net.nis.as_mut_ptr(),
-            channels: net.channels.as_mut_ptr(),
-            ends: net.ends.as_ptr(),
-            out_chan: net.out_chan.as_ptr(),
-            in_chan: net.in_chan.as_ptr(),
-            accounted_upto: net.accounted_upto.as_mut_ptr(),
-            modes_cache: net.modes_cache.as_mut_ptr(),
-            router_active: net.router_active.words.as_mut_ptr(),
-            fwd_arrivals: net.fwd_due[at.fwd_take].words.as_ptr(),
-            rev_arrivals: net.rev_due[at.rev_take].words.as_ptr(),
-            fwd_sends: net.fwd_due[at.fwd_send].words.as_mut_ptr(),
-            rev_sends: net.rev_due[at.rev_send].words.as_mut_ptr(),
-            ni_send: net.ni_send_active.words.as_mut_ptr(),
-            ni_delivered: net.ni_delivered.words.as_mut_ptr(),
-        });
+        *shared.job.get() = Some(job);
     }
 
     {
         // SAFETY: published above; immutable until every ready flag
         // reaches `seq` (shard 0's merge below transitively waits for
-        // that). Scoped so the borrow ends before the epilogue.
+        // that). Scoped so the borrow ends before the merge.
         let job = unsafe { (*shared.job.get()).as_ref().expect("job just published") };
         shared.barrier.wait(); // start barrier
         run_guarded(shared, 0, |d| {
@@ -1228,111 +956,35 @@ fn step_cycle(
     net.fwd_due[at.fwd_take].fill_empty();
     net.rev_due[at.rev_take].fill_empty();
 
-    // Epilogue (exclusive again: the root merge waited on every shard).
-    // The tree already folded all deltas into shard 0's in ascending shard
-    // order — the serial engine's accumulation order.
-    let (fault_events, error, panic_payload) = {
-        // SAFETY: all ready flags reached `seq`; main is the sole accessor.
-        let d = unsafe { &mut *shared.deltas[0].0.get() };
-        net.stats.merge(&d.stats);
-        net.credits_delivered += d.credits_delivered;
-        net.credits_pushed += d.credits_pushed;
-        net.credits_faulted += d.credits_faulted;
-        net.in_flight = (net.in_flight as i64 + d.in_flight) as usize;
-        net.retx_queued = (net.retx_queued as i64 + d.retx_queued) as usize;
-        for (m, dm) in net.mode_counts.iter_mut().zip(d.mode_counts) {
-            *m = (*m as i64 + dm) as u64;
-        }
-        net.ni_high_water_max = net.ni_high_water_max.max(d.ni_hw_max);
-        net.nack_queue.append(&mut d.dropped);
-        (
-            std::mem::take(&mut d.fault_events),
-            d.error.take(),
-            d.panic.take(),
-        )
-    };
-    if !fault_events.is_empty() {
-        // Serial fault-log order: ascending channel, a channel's lost
-        // credits before its dropped flit (one flit per channel per cycle,
-        // so the key is a total order up to same-channel credits, whose
-        // relative order the stable sort preserves).
-        let mut fault_events = fault_events;
-        fault_events.sort_by_key(|&(c, is_flit, _)| (c, is_flit));
-        for (_, _, ev) in fault_events {
-            net.log_fault(ev);
-        }
+    // Exclusive again: the root merge waited on every shard, and the tree
+    // already folded all deltas into shard 0's in ascending shard order —
+    // the serial engine's accumulation order.
+    // SAFETY: all ready flags reached `seq`; main is the sole accessor.
+    let d = unsafe { &mut *shared.deltas[0].0.get() };
+    net.stats.merge(&d.stats);
+    net.tally.add(&d.tally);
+    net.nack_queue.append(&mut d.dropped);
+    // Serial fault-log order: ascending channel, a channel's lost credits
+    // before its dropped flit (one flit per channel per cycle, so the key
+    // is a total order up to same-channel credits, whose relative order
+    // the stable sort preserves).
+    d.fault_events.sort_by_key(|&(c, is_flit, _)| (c, is_flit));
+    for (_, _, ev) in d.fault_events.drain(..) {
+        net.log_fault(ev);
     }
-
-    if let Some(payload) = panic_payload {
+    if let Some(payload) = d.panic.take() {
         resume_unwind(payload);
     }
-    if let Some((_, _, e)) = error {
-        return Err(e);
+    match d.error.take() {
+        Some((_, _, e)) => Err(e),
+        None => Ok(()),
     }
+}
 
-    // Serial phase 3b: corrupt arrivals join the NACK circuit, fresh acks
-    // start their trip back, unreachable-packet records are collected —
-    // the serial engine's placement, after phase 3.
-    if !net.config.faults.is_empty() || net.config.retransmit.is_some() {
-        for i in 0..net.nis.len() {
-            for flit in net.nis[i].take_corrupt() {
-                let dist = net.mesh.distance(NodeId::new(i), flit.src) as u64;
-                let ready = now + dist * net.config.link_latency + 2;
-                net.nack_queue.push((ready, flit));
-            }
-            for (src, id) in net.nis[i].take_acks() {
-                let dist = net.mesh.distance(NodeId::new(i), src) as u64;
-                let ready = now + dist * net.config.link_latency;
-                net.ack_queue.push((ready, src, id));
-            }
-            net.nis[i].drain_unreachable_into(&mut net.unreachable_packets);
-        }
-        net.cap_unreachable_log();
-    }
-
-    net.now += 1;
-    net.slots = at.next(net.config.link_latency);
-    net.stats.cycles += 1;
-    net.stats.cycles_backpressured += net.mode_counts[0];
-    net.stats.cycles_backpressureless += net.mode_counts[1];
-    net.stats.cycles_transitioning += net.mode_counts[2];
-    net.stats.reassembly_high_water = net.stats.reassembly_high_water.max(net.ni_high_water_max);
-
-    #[cfg(debug_assertions)]
-    if net.check_conservation {
-        debug_assert_eq!(
-            net.in_flight,
-            net.flits_in_network(),
-            "incremental in-flight accounting diverged (parallel engine)"
-        );
-        debug_assert_eq!(
-            net.retx_queued,
-            net.nis
-                .iter()
-                .map(NodeInterface::pending_retransmits)
-                .sum::<usize>(),
-            "incremental retransmit-queue accounting diverged (parallel engine)"
-        );
-    }
-
-    let progress =
-        net.stats.flits_injected + net.stats.flits_delivered + net.stats.packets_unreachable;
-    if progress != net.last_progress {
-        net.last_progress = progress;
-        net.last_progress_cycle = net.now;
-    } else if net.config.stall_watchdog > 0
-        && net.now.saturating_sub(net.last_progress_cycle) >= net.config.stall_watchdog
-    {
-        let in_flight = net.unaccounted_flits() as u64;
-        if in_flight > 0 {
-            return Err(SimError::Stalled {
-                cycle: net.now,
-                in_flight,
-                per_router_occupancy: net.routers.iter().map(|r| r.occupancy()).collect(),
-            });
-        }
-    }
-    Ok(())
+/// A bitmask's words as a raw atomic view for the job (`u64` and
+/// `AtomicU64` share layout on supported 64-bit targets).
+fn atomic_words(words: &mut [u64]) -> *const [AtomicU64] {
+    words as *mut [u64] as *const [AtomicU64]
 }
 
 // ---------------------------------------------------------------------------
@@ -1567,20 +1219,18 @@ mod tests {
 
     #[test]
     fn masked_walk_matches_reference() {
-        let mut words = [0u64; 4];
+        let words: [AtomicU64; 4] = Default::default();
         let bits = [0usize, 1, 5, 63, 64, 65, 127, 128, 200, 255];
         for &b in &bits {
-            words[b >> 6] |= 1 << (b & 63);
+            words[b >> 6].fetch_or(1 << (b & 63), Ordering::Relaxed);
         }
+        let atomics = &words[..];
         for (lo, hi) in [(0, 256), (1, 255), (64, 128), (63, 65), (65, 65), (5, 6)] {
             let mut got = Vec::new();
-            // SAFETY: `words` outlives the call and covers [0, 256).
-            unsafe {
-                walk_masked(words.as_mut_ptr(), lo, hi, |i| {
-                    got.push(i);
-                    true
-                });
-            }
+            walk_masked(atomics, lo, hi, |i| {
+                got.push(i);
+                true
+            });
             let want: Vec<usize> = bits
                 .iter()
                 .copied()

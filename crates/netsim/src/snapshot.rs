@@ -341,6 +341,22 @@ impl<'a> SnapshotReader<'a> {
         usize::try_from(v).map_err(|_| SnapshotError::Malformed { what })
     }
 
+    /// Reads the element count of a sequence whose elements take
+    /// `item_bytes` bytes each, refusing a count the remaining bytes cannot
+    /// hold — so a hostile count fails here, before anything is allocated
+    /// for it.
+    pub(crate) fn get_count(
+        &mut self,
+        what: &'static str,
+        item_bytes: usize,
+    ) -> Result<usize, SnapshotError> {
+        let n = self.get_usize(what)?;
+        if n > self.remaining() / item_bytes {
+            return Err(SnapshotError::Truncated { what });
+        }
+        Ok(n)
+    }
+
     /// Reads an `f64` from its IEEE-754 bit pattern.
     pub fn get_f64(&mut self, what: &'static str) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.get_u64(what)?))

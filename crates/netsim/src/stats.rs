@@ -195,7 +195,7 @@ impl Histogram {
     /// Restores a histogram written by [`Histogram::save`].
     pub fn load(r: &mut SnapshotReader<'_>) -> Result<Histogram, SnapshotError> {
         let bucket_width = r.get_u64("histogram bucket width")?;
-        let n = r.get_usize("histogram bucket count")?;
+        let n = r.get_count("histogram bucket count", 8)?;
         if bucket_width == 0 || n == 0 {
             return Err(SnapshotError::Malformed {
                 what: "histogram geometry",
@@ -442,7 +442,7 @@ impl SlidingWindow {
 
     /// Restores a window written by [`SlidingWindow::save`].
     pub fn load(r: &mut SnapshotReader<'_>) -> Result<SlidingWindow, SnapshotError> {
-        let len = r.get_usize("sliding window length")?;
+        let len = r.get_count("sliding window length", 4)?;
         if len == 0 {
             return Err(SnapshotError::Malformed {
                 what: "sliding window length",
@@ -653,7 +653,7 @@ impl NetworkStats {
     /// serial engine would have produced regardless of shard count — as
     /// long as deltas are merged in a fixed order (they are: shard index).
     ///
-    /// `cycles` is advanced by the engine epilogue, never by shards, so a
+    /// `cycles` is advanced by the shared end of the cycle, never by shards, so a
     /// worker delta always carries `cycles == 0`.
     pub fn merge(&mut self, other: &NetworkStats) {
         self.packets_offered += other.packets_offered;
@@ -804,6 +804,48 @@ impl NetworkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hostile snapshots: a histogram whose bucket count promises more
+    /// buckets than the payload holds is refused before allocation (2^62
+    /// used to overflow the capacity computation, 2^40 to abort on an
+    /// 8 TiB allocation).
+    #[test]
+    fn hostile_histogram_bucket_count_is_refused() {
+        for count in [1u64 << 62, 1 << 40, 3] {
+            let mut w = SnapshotWriter::new();
+            w.put_u64(1); // bucket width
+            w.put_u64(count);
+            w.put_u64(0); // two of the promised buckets
+            w.put_u64(0);
+            let bytes = w.into_bytes();
+            let err = Histogram::load(&mut SnapshotReader::new(&bytes))
+                .expect_err("a count beyond the payload must be refused");
+            assert!(
+                matches!(err, SnapshotError::Truncated { .. }),
+                "count {count}: {err:?}"
+            );
+        }
+    }
+
+    /// The sliding-window twin of the histogram test (the AFC contention
+    /// window restores through this decoder).
+    #[test]
+    fn hostile_sliding_window_length_is_refused() {
+        for len in [1u64 << 62, 1 << 40, 5] {
+            let mut w = SnapshotWriter::new();
+            w.put_u64(len);
+            for _ in 0..4 {
+                w.put_u32(0);
+            }
+            let bytes = w.into_bytes();
+            let err = SlidingWindow::load(&mut SnapshotReader::new(&bytes))
+                .expect_err("a length beyond the payload must be refused");
+            assert!(
+                matches!(err, SnapshotError::Truncated { .. }),
+                "length {len}: {err:?}"
+            );
+        }
+    }
 
     #[test]
     fn latency_stats_basic() {
